@@ -78,6 +78,17 @@ CUSTOM = "custom"
 _POLICIES = (ZERO, PERTURBED_TRUTH, CUSTOM)
 
 
+def _step_count(run_time: float, dt: float) -> int:
+    """Number of dt steps spanning run_time, which must be a whole multiple."""
+    n = run_time / dt
+    steps = round(n)
+    if not abs(n - steps) <= 1e-9 * n:
+        raise ValueError(
+            f"run_time={run_time} is not a whole multiple of dt={dt}"
+        )
+    return steps
+
+
 @dataclass(frozen=True)
 class TwinConfig:
     """Parameters of one twin experiment.
@@ -103,6 +114,11 @@ class TwinConfig:
             raise ValueError("spinup_time must be nonnegative")
         if not (self.run_time > 0):
             raise ValueError("run_time must be positive")
+        _step_count(self.run_time, self.stepper.dt)
+        if self.stepper.cfl_target is not None:
+            raise ValueError(
+                "twin experiments step at the fixed dt; cfl_target is not supported"
+            )
         if self.v0_policy not in _POLICIES or self.eta0_policy not in _POLICIES:
             raise ValueError(f"initial policies must be one of {_POLICIES}")
         if self.sample_cadence < 1:
@@ -423,7 +439,7 @@ def run_twin(
 
     acc = _SeriesAccumulator()
     acc.sample(truth, assim)
-    n_steps = int(round(cfg.run_time / cfg.stepper.dt))
+    n_steps = _step_count(cfg.run_time, cfg.stepper.dt)
     for k in range(1, n_steps + 1):
         truth_next, t_hist = step(
             truth, cfg.params, cfg.stepper, history=t_hist, label="truth"
@@ -475,6 +491,8 @@ def run_from_record(
     """
     if not record.matches(spec, stepper):
         raise ValueError("record does not match the observation spec and stepper")
+    if stepper.cfl_target is not None:
+        raise ValueError("replay steps at the recorded dt; cfl_target is not supported")
     g = spec.grid
     assim = State(
         v0 if v0 is not None else VectorField.zeros(g),
@@ -595,6 +613,7 @@ def run_temperature_slaving(
     """
     if theta_a.grid != truth0.grid or theta_b.grid != truth0.grid:
         raise ValueError("temperatures must live on the truth grid")
+    n_steps = _step_count(run_time, stepper.dt)
     from .model import advection_scalar
 
     truth = truth0
@@ -616,7 +635,6 @@ def run_temperature_slaving(
 
     times = [truth.time]
     vals = [gap()]
-    n_steps = int(round(run_time / stepper.dt))
     for k in range(1, n_steps + 1):
         carrier = truth.velocity
         theta_a, ha = step_scalar(

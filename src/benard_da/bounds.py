@@ -231,7 +231,8 @@ def estimate_ladyzhenskaya_constant(
         kind = i % 3
         if kind == 2:
             w = random_solenoidal(grid, rng)
-            mag2 = synthesize(w.u1) ** 2 + synthesize(w.u2) ** 2
+            v1, v2 = synthesize([w.u1, w.u2])
+            mag2 = v1**2 + v2**2
             l4sq = math.sqrt(quadrature(grid, mag2**2))
             worst = max(worst, l4sq / (norm_h(w) * norm_v(w)))
         else:

@@ -165,6 +165,7 @@ def cmd_spinup(cfg: RunConfig) -> int:
 
 
 def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
+    twin_cfg = cfg.twin_config()
     out = _out_dir(cfg)
     ck = load_checkpoint(ckpt_path)
     if ck.state.grid != cfg.grid():
@@ -178,7 +179,7 @@ def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
                 f"config {name}={getattr(cfg, name)}"
             )
     started = time.perf_counter()
-    result = run_twin(cfg.twin_config(), truth0=ck.state)
+    result = run_twin(twin_cfg, truth0=ck.state)
     wall = time.perf_counter() - started
 
     series = result.errors
@@ -249,7 +250,7 @@ def _sweep_row(job: Tuple[RunConfig, float, float, State]) -> dict:
         fit = _fit_manifest(series, cfg.run_time)
         row["rate"] = fit["rate"]
     except BlowUpError as e:
-        row["error"] = f"blow-up in {e.label} at t={e.time:.6g}"
+        row["error"] = f"blow-up: {e}"
     except Exception as e:
         row["error"] = f"{type(e).__name__}: {e}"
     row["wall_time_s"] = time.perf_counter() - started
@@ -257,6 +258,7 @@ def _sweep_row(job: Tuple[RunConfig, float, float, State]) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, workers: Optional[int]) -> int:
+    cfg.twin_config()  # a config every row would reject fails before the spin-up
     out = _out_dir(cfg)
     mu_list = cfg.sweep_mu or (cfg.mu,)
     h_list = cfg.sweep_h or (cfg.h,)

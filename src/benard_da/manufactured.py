@@ -82,11 +82,8 @@ class ManufacturedCase:
         u1 = math.pi * gt * np.sin(a * x) * np.cos(math.pi * y)
         u2 = -a * gt * np.cos(a * x) * np.sin(math.pi * y)
         th = bt * np.cos(a * x) * np.sin(math.pi * y)
-        return State(
-            VectorField(analyze(g, u1, COS), analyze(g, u2, SIN)),
-            analyze(g, th, SIN),
-            t,
-        )
+        c2, cth = analyze(g, np.stack([u2, th]), SIN)
+        return State(VectorField(analyze(g, u1, COS), c2), cth, t)
 
     def time_derivative(self, t: float) -> Tuple[VectorField, SpectralField]:
         g = self.grid
@@ -96,10 +93,8 @@ class ManufacturedCase:
         du1 = math.pi * gd * np.sin(a * x) * np.cos(math.pi * y)
         du2 = -a * gd * np.cos(a * x) * np.sin(math.pi * y)
         dth = bd * np.cos(a * x) * np.sin(math.pi * y)
-        return (
-            VectorField(analyze(g, du1, COS), analyze(g, du2, SIN)),
-            analyze(g, dth, SIN),
-        )
+        c2, cth = analyze(g, np.stack([du2, dth]), SIN)
+        return VectorField(analyze(g, du1, COS), c2), cth
 
     def forcing(self, t: float) -> Tuple[VectorField, SpectralField]:
         """Residual of the unforced equations at the exact solution.
@@ -134,10 +129,8 @@ class ManufacturedCase:
             + self.kappa * diff * bt * cx * sy
             + a * gt * cx * sy
         )
-        return (
-            VectorField(analyze(g, f1, COS), analyze(g, f2, SIN)),
-            analyze(g, fth, SIN),
-        )
+        c2, cth = analyze(g, np.stack([f2, fth]), SIN)
+        return VectorField(analyze(g, f1, COS), c2), cth
 
     def errors(self, s: State) -> Tuple[float, float]:
         """H-norm distances of a computed state from the exact one."""

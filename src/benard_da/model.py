@@ -103,28 +103,30 @@ def advection_velocity(carrier: VectorField, advected: VectorField) -> VectorFie
     """Dealiased Galerkin truncation of (carrier . grad) advected."""
     _require_same_grid(carrier.grid, advected.grid)
     g = carrier.grid
-    c1 = synthesize(carrier.u1)
-    c2 = synthesize(carrier.u2)
-    a1 = c1 * synthesize(derivative_x(advected.u1)) + c2 * synthesize(
-        derivative_y(advected.u1)
-    )
-    a2 = c1 * synthesize(derivative_x(advected.u2)) + c2 * synthesize(
-        derivative_y(advected.u2)
+    # cos-parity fields first: synthesize then needs no reordering
+    c1, dx1, dy2, c2, dy1, dx2 = synthesize(
+        [
+            carrier.u1,
+            derivative_x(advected.u1),
+            derivative_y(advected.u2),
+            carrier.u2,
+            derivative_y(advected.u1),
+            derivative_x(advected.u2),
+        ]
     )
     return VectorField(
-        dealias(analyze(g, a1, COS)),
-        dealias(analyze(g, a2, SIN)),
+        dealias(analyze(g, c1 * dx1 + c2 * dy1, COS)),
+        dealias(analyze(g, c1 * dx2 + c2 * dy2, SIN)),
     )
 
 
 def advection_scalar(carrier: VectorField, scalar: SpectralField) -> SpectralField:
     """Dealiased Galerkin truncation of (carrier . grad) scalar, sine parity."""
     _require_same_grid(carrier.grid, scalar.grid)
-    g = carrier.grid
-    vals = synthesize(carrier.u1) * synthesize(derivative_x(scalar)) + synthesize(
-        carrier.u2
-    ) * synthesize(derivative_y(scalar))
-    return dealias(analyze(g, vals, SIN))
+    c1, dy, c2, dx = synthesize(
+        [carrier.u1, derivative_y(scalar), carrier.u2, derivative_x(scalar)]
+    )
+    return dealias(analyze(carrier.grid, c1 * dx + c2 * dy, SIN))
 
 
 def buoyancy(theta: SpectralField) -> VectorField:

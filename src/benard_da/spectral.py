@@ -15,6 +15,17 @@ and m = ny columns at zero: sin(0) vanishes identically and sin(ny pi y)
 vanishes at every collocation point, so neither is representable; dropping
 them is the Galerkin truncation onto the representable band.
 
+Reality has one convention, the Hermitian fold.  Folding maps coefficients
+to the rows n = 0 .. nx/2 of their Hermitian part 0.5 (c[n] + conj(c[-n])),
+which fixes the real field they synthesize to; unfolding mirrors such rows
+back to the full layout.  synthesize() folds and then runs a real inverse
+FFT in x; analyze() runs a real FFT in x and unfolds, so its coefficients
+are exactly Hermitian; hermitian_part() is unfold(fold(c)).  Both
+transforms take a batch: synthesize() a sequence of fields of either
+parity (one DCT-I for the cos group, one DST-I for the sin group, one
+inverse real FFT for all), analyze() a (K, nx, ny + 1) stack of values of
+one parity.  A batch gives the same bits as the same fields one by one.
+
 Collocation points are x_i = i L / nx and y_j = j / ny (walls included).
 A velocity field pairs a cos-parity u1 with a sin-parity u2, so the
 stress-free wall conditions (u2 = 0 and du1/dy = 0 at y = 0, 1) hold
@@ -24,7 +35,7 @@ structurally, as does theta = 0 for sin-parity scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -188,55 +199,90 @@ Field = Union[SpectralField, VectorField]
 # transforms
 
 
-def _synth_cos(c: np.ndarray) -> np.ndarray:
-    w = np.array(c, copy=True)
-    w[..., 0] *= 2.0
-    w[..., -1] *= 2.0
-    return scipy.fft.dct(w, type=1, axis=-1) / 2.0
-
-
-def _anal_cos(v: np.ndarray) -> np.ndarray:
-    ny = v.shape[-1] - 1
-    a = scipy.fft.dct(v, type=1, axis=-1) / ny
-    a[..., 0] /= 2.0
-    a[..., -1] /= 2.0
-    return a
-
-
-def _synth_sin(c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    out[..., 1:-1] = scipy.fft.dst(c[..., 1:-1], type=1, axis=-1) / 2.0
+def _fold(c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows n = 0 .. nx/2 of the Hermitian part 0.5 (c[n] + conj(c[-n]))."""
+    h = c.shape[-2] // 2
+    if out is None:
+        out = np.empty(c.shape[:-2] + (h + 1, c.shape[-1]), dtype=np.complex128)
+    out[..., 0, :] = c[..., 0, :]
+    out[..., 1:, :] = c[..., : h - 1 : -1, :]
+    np.conjugate(out, out=out)
+    out += c[..., : h + 1, :]
+    out *= 0.5
     return out
 
 
-def _anal_sin(v: np.ndarray) -> np.ndarray:
-    ny = v.shape[-1] - 1
-    b = np.zeros_like(v, dtype=np.complex128)
-    b[..., 1:-1] = scipy.fft.dst(v[..., 1:-1], type=1, axis=-1) / ny
-    return b
+def _unfold(f: np.ndarray, nx: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Full coefficients c[-n] = conj(c[n]) from the rows n = 0 .. nx/2."""
+    h = nx // 2
+    if out is None:
+        out = np.empty(f.shape[:-2] + (nx, f.shape[-1]), dtype=np.complex128)
+    out[..., : h + 1, :] = f
+    np.conjugate(f[..., h - 1 : 0 : -1, :], out=out[..., h + 1 :, :])
+    return out
 
 
-def synthesize(f: SpectralField) -> np.ndarray:
-    """Collocation values on the (nx, ny + 1) grid, walls included."""
-    if f.parity == COS:
-        gy = _synth_cos(f.coeffs)
-    else:
-        gy = _synth_sin(f.coeffs)
-    return (np.fft.ifft(gy, axis=0) * f.grid.nx).real
+def synthesize(
+    fields: Union[SpectralField, Sequence[SpectralField]]
+) -> np.ndarray:
+    """Collocation values on the (nx, ny + 1) grid, walls included.
+
+    One field gives an (nx, ny + 1) array; a sequence of fields on one grid
+    gives a (K, nx, ny + 1) stack in the order given.  Only the Hermitian
+    part of the coefficients reaches the values, so any input synthesizes
+    to the real part of the plain sum.
+    """
+    single = isinstance(fields, SpectralField)
+    group = [fields] if single else list(fields)
+    g = group[0].grid
+    if any(f.grid != g for f in group):
+        raise ValueError("fields to synthesize live on different grids")
+    # cos fields first, so that each y transform runs on one contiguous block
+    order = sorted(range(len(group)), key=lambda i: group[i].parity != COS)
+    ncos = sum(1 for f in group if f.parity == COS)
+    half = np.empty((len(group), g.nx // 2 + 1, g.ny + 1), dtype=np.complex128)
+    for j, i in enumerate(order):
+        _fold(group[i].coeffs, out=half[j])
+    # DCT-I and DST-I weight the interior columns twice; halving them gives
+    # the plain sums (sine fields have zero end columns, so one scaling
+    # serves both parities).
+    half[..., 1:-1] *= 0.5
+    v = scipy.fft.irfft(half, n=g.nx, axis=-2, norm="forward")
+    v[:ncos] = scipy.fft.dct(v[:ncos], type=1, axis=-1, overwrite_x=True)
+    v[ncos:, :, 1:-1] = scipy.fft.dst(
+        v[ncos:, :, 1:-1], type=1, axis=-1, overwrite_x=True
+    )
+    if order != sorted(order):
+        v = v[np.argsort(order)]
+    return v[0] if single else v
 
 
-def analyze(grid: Grid, values: np.ndarray, parity: str) -> SpectralField:
-    """Forward transform of real collocation values; exact on the full band."""
-    if values.shape != grid.shape:
+def analyze(
+    grid: Grid, values: np.ndarray, parity: str
+) -> Union[SpectralField, List[SpectralField]]:
+    """Forward transform of real collocation values; exact on the full band.
+
+    (nx, ny + 1) values give one field, a (K, nx, ny + 1) stack gives a
+    list of K fields of the one parity.  The coefficients are mirrored from
+    a real FFT, so they satisfy c[-n, m] = conj(c[n, m]) exactly.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape[-2:] != grid.shape or v.ndim not in (2, 3):
         raise ValueError(
-            f"value shape {values.shape} does not match grid {grid.shape}"
+            f"value shape {v.shape} does not match grid {grid.shape}"
         )
-    cx = np.fft.fft(np.asarray(values, dtype=float), axis=0) / grid.nx
     if parity == COS:
-        c = _anal_cos(cx)
+        t = scipy.fft.dct(v, type=1, axis=-1)
+        t[..., 0] *= 0.5
+        t[..., -1] *= 0.5
     else:
-        c = _anal_sin(cx)
-    return SpectralField(grid, parity, c)
+        t = np.zeros_like(v)
+        t[..., 1:-1] = scipy.fft.dst(v[..., 1:-1], type=1, axis=-1)
+    t *= 1.0 / grid.ny
+    c = _unfold(scipy.fft.rfft(t, axis=-2, norm="forward"), grid.nx)
+    if c.ndim == 2:
+        return SpectralField(grid, parity, c)
+    return [SpectralField(grid, parity, ci) for ci in c]
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +500,13 @@ def reality_defect(f: SpectralField) -> float:
     return float(np.abs(c - flipped).max()) / scale
 
 
-def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
+def hermitian_part(
+    coeffs: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Projection onto real-field coefficients: c[-n, m] = conj(c[n, m]).
 
     Orthogonal in every mode-diagonal norm, so it never increases |.|_H
     or |.|_V and maps exactly symmetric input to itself bit for bit.
+    Accepts a leading stack axis; out may be coeffs itself.
     """
-    flipped = np.conj(np.roll(coeffs[::-1, :], 1, axis=0))
-    return 0.5 * (coeffs + flipped)
+    return _unfold(_fold(coeffs), coeffs.shape[-2], out)

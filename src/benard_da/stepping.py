@@ -21,7 +21,14 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
-from .spectral import SIN, SpectralField, VectorField, hermitian_part, synthesize
+from .spectral import (
+    COS,
+    SIN,
+    SpectralField,
+    VectorField,
+    hermitian_part,
+    synthesize,
+)
 
 __all__ = [
     "StepperConfig",
@@ -98,20 +105,52 @@ class NudgingStep:
 
 
 class BlowUpError(RuntimeError):
-    """A coefficient left the finite range; carries the failing time."""
+    """A coefficient left the finite range.
 
-    def __init__(self, time: float, label: Optional[str] = None):
+    Carries the failing time, the trajectory label, the field and the
+    (n, m) mode of the largest coefficient, its magnitude, and the time of
+    the last finite state.
+    """
+
+    def __init__(
+        self,
+        time: float,
+        label: Optional[str],
+        field: str,
+        mode: Tuple[int, int],
+        magnitude: float,
+        last_finite_time: float,
+    ):
         self.time = time
         self.label = label
+        self.field = field
+        self.mode = mode
+        self.magnitude = magnitude
+        self.last_finite_time = last_finite_time
         where = f" in {label}" if label else ""
-        super().__init__(f"solution blew up{where} at t = {time:.6g}")
+        super().__init__(
+            f"solution blew up{where} at t = {time:.6g}: |{field}| = {magnitude:.6g}"
+            f" at (n, m) = {mode}; last finite state at t = {last_finite_time:.6g}"
+        )
 
 
-def _check_finite(time: float, label: Optional[str], *arrays: np.ndarray) -> None:
-    for a in arrays:
-        m = np.abs(a).max() if a.size else 0.0
-        if not np.isfinite(m) or m > BLOWUP_THRESHOLD:
-            raise BlowUpError(time, label)
+def _check_finite(
+    coeffs: np.ndarray,
+    fields: Tuple[str, ...],
+    last_time: float,
+    time: float,
+    label: Optional[str],
+) -> None:
+    """Raise BlowUpError at the largest coefficient of a (stacked) update."""
+    mag = np.abs(coeffs)
+    i = int(np.argmax(mag))
+    peak = float(mag.flat[i])
+    if peak <= BLOWUP_THRESHOLD:
+        return
+    nx, ny1 = coeffs.shape[-2:]
+    k, n, m = np.unravel_index(i, (len(fields), nx, ny1))
+    mode = (int(n) if n < nx // 2 else int(n) - nx, int(m))
+    raise BlowUpError(time, label, fields[k], mode, peak, last_time)
 
 
 def step(
@@ -129,29 +168,31 @@ def step(
     if dt is None:
         dt = cfg.dt
     vec, sc = explicit_rhs(s, p, forcing)
-    e1, e2, eth = vec.u1.coeffs, vec.u2.coeffs, sc.coeffs
-
-    crank = cfg.scheme == "imex-cnab2" and history is not None
-    if crank:
+    # u1, u2 and theta advance as one (3, nx, ny + 1) stack; the diffusion
+    # factors belong to the velocity pair (nu) and to theta (kappa)
+    x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
+    c = np.empty_like(x)
+    if cfg.scheme == "imex-cnab2" and history is not None:
         r = dt / history.dt
-        w1, w2 = 1.0 + 0.5 * r, -0.5 * r
-        x1 = w1 * e1 + w2 * history.e_u1
-        x2 = w1 * e2 + w2 * history.e_u2
-        xth = w1 * eth + w2 * history.e_th
+        x *= 1.0 + 0.5 * r
+        np.stack([history.e_u1, history.e_u2, history.e_th], out=c)
+        c *= -0.5 * r
+        x += c
         half = 0.5 * dt * g.lam
-        num_u = 1.0 - p.nu * half
-        den_u = 1.0 + p.nu * half
-        num_t = 1.0 - p.kappa * half
-        den_t = 1.0 + p.kappa * half
+        num_u, num_t = 1.0 - p.nu * half, 1.0 - p.kappa * half
+        den_u, den_t = 1.0 + p.nu * half, 1.0 + p.kappa * half
     else:
-        x1, x2, xth = e1, e2, eth
         num_u = num_t = 1.0
         den_u = 1.0 + p.nu * dt * g.lam
         den_t = 1.0 + p.kappa * dt * g.lam
 
-    n1 = s.velocity.u1.coeffs * num_u + dt * x1
-    n2 = s.velocity.u2.coeffs * num_u + dt * x2
-    nth = s.temperature.coeffs * num_t + dt * xth
+    np.stack(
+        [s.velocity.u1.coeffs, s.velocity.u2.coeffs, s.temperature.coeffs], out=c
+    )
+    c[:2] *= num_u
+    c[2] *= num_t
+    x *= dt
+    c += x
 
     if nudging is not None and nudging.mu > 0:
         if nudging.force is not None:
@@ -159,29 +200,28 @@ def step(
                 raise ValueError(
                     f"explicit nudging requires dt <= 1/(2 mu): dt={dt}, mu={nudging.mu}"
                 )
-            n1 = n1 + dt * nudging.force.u1.coeffs
-            n2 = n2 + dt * nudging.force.u2.coeffs
+            c[0] += dt * nudging.force.u1.coeffs
+            c[1] += dt * nudging.force.u2.coeffs
         else:
-            damp = dt * nudging.mu * nudging.observed_mask
-            den_u = den_u + damp
-            n1 = n1 + dt * nudging.mu * nudging.data1
-            n2 = n2 + dt * nudging.mu * nudging.data2
+            den_u = den_u + dt * nudging.mu * nudging.observed_mask
+            c[0] += dt * nudging.mu * nudging.data1
+            c[1] += dt * nudging.mu * nudging.data2
 
     # Project out conjugate-asymmetric transform dust every step: it carries
     # no real-field content, but the conduction instability is unsaturated in
     # that sector (its advection vanishes on synthesis) and would amplify it
     # from round-off to blow-up on supercritical runs.
-    c1 = hermitian_part(n1 / den_u)
-    c2 = hermitian_part(n2 / den_u)
-    cth = hermitian_part(nth / den_t)
+    c[:2] /= den_u
+    c[2] /= den_t
+    hermitian_part(c, out=c)
     t_new = s.time + dt
-    _check_finite(t_new, label, c1, c2, cth)
+    _check_finite(c, ("u1", "u2", "theta"), s.time, t_new, label)
     new = State(
-        VectorField(SpectralField(g, "cos", c1), SpectralField(g, SIN, c2)),
-        SpectralField(g, SIN, cth),
+        VectorField(SpectralField(g, COS, c[0]), SpectralField(g, SIN, c[1])),
+        SpectralField(g, SIN, c[2]),
         t_new,
     )
-    return new, History(e1, e2, eth, dt)
+    return new, History(vec.u1.coeffs, vec.u2.coeffs, sc.coeffs, dt)
 
 
 def step_scalar(
@@ -215,14 +255,14 @@ def step_scalar(
         num = 1.0
         den = 1.0 + p.kappa * dt * g.lam
     c = hermitian_part((theta.coeffs * num + dt * xth) / den)
-    _check_finite(time + dt, label, c)
+    _check_finite(c, ("theta",), time, time + dt, label)
     return SpectralField(g, SIN, c), ScalarHistory(eth, dt)
 
 
 def _cfl_limit(s: State, cfg: StepperConfig) -> float:
     g = s.grid
-    vx = float(np.abs(synthesize(s.velocity.u1)).max())
-    vy = float(np.abs(synthesize(s.velocity.u2)).max())
+    v1, v2 = np.abs(synthesize([s.velocity.u1, s.velocity.u2]))
+    vx, vy = float(v1.max()), float(v2.max())
     rate = vx * g.nx / g.L + vy * g.ny
     if rate <= 0.0:
         return cfg.dt

@@ -89,6 +89,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="run_time"):
             twin_config(run_time=0.0)
 
+    def test_cfl_target_rejected(self):
+        # both trajectories step at the fixed dt; a CFL bound would be ignored
+        with pytest.raises(ValueError, match="cfl_target"):
+            twin_config(stepper=StepperConfig(dt=2e-3, cfl_target=0.5))
+
+    def test_run_time_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="multiple"):
+            twin_config(run_time=0.0031, stepper=StepperConfig(dt=1e-3))
+        assert twin_config(run_time=0.3).run_time == 0.3
+
     def test_spinup_nonnegative(self):
         with pytest.raises(ValueError, match="spinup"):
             twin_config(spinup_time=-1.0)
@@ -224,7 +234,13 @@ class TestRunTwin:
         cfg = twin_config(run_time=10.0, spinup_time=0.0, stepper=StepperConfig(dt=1.0))
         with pytest.raises(BlowUpError) as err:
             run_twin(cfg, truth0=big)
-        assert err.value.label == "truth"
+        e = err.value
+        assert e.label == "truth"
+        assert e.field in ("u1", "u2", "theta")
+        assert len(e.mode) == 2
+        assert not e.magnitude <= 1e12
+        assert e.last_finite_time == e.time - 1.0
+        assert f"|{e.field}| = " in str(e)
 
     def test_explicit_kind_converges_too(self, attractor_state):
         params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=20.0, h=0.2)
@@ -267,6 +283,10 @@ class TestObservationReplay:
         other = StepperConfig(dt=1e-3)
         with pytest.raises(ValueError, match="match"):
             run_from_record(rec, SUPER, spec, other)
+        # the replay steps at the recorded dt, so a CFL bound is refused
+        cfl = StepperConfig(dt=STEP.dt, cfl_target=0.5)
+        with pytest.raises(ValueError, match="cfl_target"):
+            run_from_record(rec, SUPER, spec, cfl)
 
 
 class TestFitDecayRate:
@@ -332,6 +352,14 @@ class TestTemperatureSlaving:
             truth, SUPER, STEP, th, th, run_time=0.1
         )
         assert np.all(series.diff_sq == 0.0)
+
+    def test_run_time_must_be_whole_steps(self):
+        th = real_mode(GRID, SIN, 0, 1)
+        with pytest.raises(ValueError, match="multiple"):
+            run_temperature_slaving(
+                State.zeros(GRID), SUPER, StepperConfig(dt=1e-3), th, th,
+                run_time=0.0031,
+            )
 
     def test_resting_carrier_decays_at_conduction_rate(self):
         # Gravest-mode gap with u = 0: the contract is an equality, and the

@@ -13,6 +13,7 @@ from benard_da.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from benard_da import cli
 from benard_da.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -316,6 +317,16 @@ class TestTwinCommand:
         assert main(["twin", "--config", str(p), str(bad_ckpt)]) == EXIT_BLOWUP
 
 
+    def test_cfl_target_is_config_error(self, twin_workspace, tmp_path):
+        # the twin steps at the fixed dt, so a CFL bound is refused up front
+        root, cfg_path, ckpt = twin_workspace
+        cfg = small_config(cfl_target=0.5, output_dir=str(tmp_path))
+        p = tmp_path / "cfl.cfg"
+        save(cfg, p)
+        assert main(["twin", "--config", str(p), str(ckpt)]) == EXIT_CONFIG
+        assert not (tmp_path / "errors.csv").exists()
+
+
 class TestSweepCommand:
     def test_rows_match_twin_and_duplicates_identical(self, twin_workspace, tmp_path):
         root, cfg_path, ckpt = twin_workspace
@@ -366,6 +377,31 @@ class TestSweepCommand:
         assert rows[0]["rate"] == ""
         assert rows[1]["error"] == ""
         assert rows[1]["rate"] != ""
+
+
+    def test_cfl_target_is_config_error(self, tmp_path, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("sweep integrated before rejecting its config")
+
+        monkeypatch.setattr(cli, "spin_up", no_integration)
+        cfg = small_config(cfl_target=0.5, sweep_mu=(10.0,), output_dir=str(tmp_path))
+        p = tmp_path / "cfl.cfg"
+        save(cfg, p)
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_blow_up_row_reports_mode(self):
+        grid = Grid(2.0, 32, 16)
+        rng = np.random.default_rng(1)
+        big = State(
+            random_solenoidal(grid, rng, norm=1e8),
+            random_scalar(grid, rng, SIN, norm=1e8),
+        )
+        cfg = small_config(dt=1.0, run_time=10.0, nu=1e-8, kappa=1e-8)
+        row = cli._sweep_row((cfg, 40.0, 0.2, big))
+        assert row["error"].startswith("blow-up: solution blew up in truth at t = ")
+        assert "(n, m) = (" in row["error"]
+        assert row["rate"] is None
 
 
 class TestCheckConditionsCommand:

@@ -220,8 +220,17 @@ class TestBlowUp:
         )
         with pytest.raises(BlowUpError) as ei:
             integrate(s0, p, StepperConfig(dt=1.0), 10.0, label="truth")
-        assert ei.value.time > 0.0
-        assert ei.value.label == "truth"
+        e = ei.value
+        assert e.time > 0.0
+        assert e.label == "truth"
+        # the report names the worst coefficient of the failing update
+        assert e.field in ("u1", "u2", "theta")
+        n, m = e.mode
+        assert -grid.nx // 2 <= n < grid.nx // 2 and 0 <= m <= grid.ny
+        assert not e.magnitude <= 1e12
+        assert e.last_finite_time == e.time - 1.0
+        for part in (e.field, f"(n, m) = ({n}, {m})", f"t = {e.last_finite_time:.6g}"):
+            assert part in str(e)
 
 
 class TestNudgingHooks:
