@@ -10,16 +10,19 @@ synchronized to round-off and removes any dt restriction from large mu; for
 volume/nodal operators the force is explicit with start-of-step data and
 the stepper enforces dt <= 1/(2 mu).
 
-Both trajectories share one dt.  Error and truth-diagnostic series are
-sampled on a fixed step cadence; coarse observations can be recorded to a
-file and an assimilation replayed against the recording, reproducing the
-live assimilated trajectory bit for bit.
+Both trajectories share one dt.  One truth can drive several nudged
+copies at once (run_twin over a sequence of configs, as a sweep over mu and
+h does); each copy is bit-identical to its own single run.  Error and
+truth-diagnostic series are sampled on a fixed step cadence; coarse
+observations can be recorded to a file and an assimilation replayed
+against the recording, reproducing the live assimilated trajectory bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -380,99 +383,182 @@ class ObservationRecord:
         )
 
 
-def _nudging_for_step(
-    cfg: TwinConfig,
-    spec: InterpolantSpec,
-    mask: Optional[np.ndarray],
-    truth_now: State,
-    truth_next: Optional[State],
-    assim: State,
-    recorder: Optional[_Recorder],
-) -> Optional[NudgingStep]:
-    mu = cfg.params.mu
-    if mu <= 0.0:
-        return None
-    if mask is not None:
-        d1 = mask * truth_next.velocity.u1.coeffs
-        d2 = mask * truth_next.velocity.u2.coeffs
-        if recorder is not None:
-            recorder.add_modal(truth_next.time, d1, d2, mask > 0)
-        return NudgingStep(mu=mu, observed_mask=mask, data1=d1, data2=d2)
-    u_obs = observe(truth_now.velocity, spec)
-    if recorder is not None:
-        recorder.add_coarse(truth_now.time, truth_now.velocity)
-    force = nudging_force(assim.velocity, u_obs, spec, mu)
-    return NudgingStep(mu=mu, force=force)
+class _StepObservations(dict):
+    """One step's truth observations, made once per spec on first use.
+
+    Modal specs map to the masked end-of-step coefficients (the implicit
+    form's data); volume/nodal specs map to observe() of the start-of-step
+    velocity.  The copies that share a spec share the entry.
+    """
+
+    def __init__(
+        self, now: State, nxt: State, masks: Dict[InterpolantSpec, np.ndarray]
+    ):
+        super().__init__()
+        self.now, self.nxt, self.masks = now, nxt, masks
+
+    def __missing__(self, spec: InterpolantSpec):
+        if spec.kind == MODAL:
+            m = self.masks[spec]
+            obs = (m * self.nxt.velocity.u1.coeffs, m * self.nxt.velocity.u2.coeffs)
+            for d in obs:
+                d.flags.writeable = False
+        else:
+            obs = observe(self.now.velocity, spec)
+        self[spec] = obs
+        return obs
+
+
+@dataclass
+class _Copy:
+    """One nudged copy in a shared-truth run and what stopped it, if anything."""
+
+    cfg: TwinConfig
+    acc: _SeriesAccumulator
+    recorder: Optional[_Recorder]
+    state: Optional[State] = None
+    history: Optional[History] = None
+    failure: Optional[Exception] = None
+
+    def advance(self, obs: _StepObservations) -> None:
+        """Step the copy across the step whose observations are obs."""
+        mu, spec = self.cfg.params.mu, self.cfg.spec
+        nd = None
+        if mu > 0.0 and spec.kind == MODAL:
+            d1, d2 = obs[spec]
+            mask = obs.masks[spec]
+            if self.recorder is not None:
+                self.recorder.add_modal(obs.nxt.time, d1, d2, mask > 0)
+            nd = NudgingStep(mu=mu, observed_mask=mask, data1=d1, data2=d2)
+        elif mu > 0.0:
+            if self.recorder is not None:
+                self.recorder.add_coarse(obs.now.time, obs.now.velocity)
+            force = nudging_force(self.state.velocity, obs[spec], spec, mu)
+            nd = NudgingStep(mu=mu, force=force)
+        self.state, self.history = step(
+            self.state,
+            self.cfg.params,
+            self.cfg.stepper,
+            nudging=nd,
+            history=self.history,
+            label="assimilated",
+        )
+
+
+def _truth_key(cfg: TwinConfig, spun_up: bool) -> tuple:
+    """What fixes the truth trajectory; spun_up adds the spin-up inputs."""
+    p = cfg.params
+    key = (cfg.spec.grid, p.nu, p.kappa, p.L, cfg.stepper, cfg.run_time)
+    return key + ((cfg.spinup_time, cfg.seed) if spun_up else ())
 
 
 def run_twin(
-    cfg: TwinConfig,
+    cfg: Union[TwinConfig, Sequence[TwinConfig]],
     truth0: Optional[State] = None,
     v0: Optional[VectorField] = None,
     eta0: Optional[SpectralField] = None,
     record_to=None,
-) -> TwinResult:
-    """Run one twin experiment in lock-step.
+) -> Union[TwinResult, List[Union[TwinResult, Exception]]]:
+    """Run twin experiments in lock-step against one truth.
 
-    truth0 skips the spin-up (a reloaded checkpoint, typically).  The
-    returned series sample the state every cfg.sample_cadence steps,
-    starting with the initial pair.  record_to, if given, is a path that
-    receives the coarse observation stream.
+    One config returns its TwinResult or raises.  A sequence of configs
+    advances one truth and nudges one copy per config against it; it
+    returns a list in config order holding each copy's TwinResult, or the
+    exception that stopped that copy (an exception in the truth stops
+    every copy still running).  Each entry is bit-identical to the
+    single-config run.  The configs must agree on the grid, nu, kappa, L,
+    stepper and run_time, and without truth0 on spinup_time and seed.
+
+    truth0 skips the spin-up (a reloaded checkpoint, typically); v0 and
+    eta0 serve every custom-policy copy.  The returned series sample the
+    state every cfg.sample_cadence steps, starting with the initial pair.
+    record_to, if given, is a path that receives the coarse observation
+    stream; it takes a single config only.
     """
-    spec = cfg.spec
-    g = spec.grid
+    single = isinstance(cfg, TwinConfig)
+    configs = [cfg] if single else list(cfg)
+    if not configs:
+        raise ValueError("run_twin needs at least one config")
+    if record_to is not None and not single:
+        raise ValueError("record_to takes a single config")
+    first = configs[0]
+    key = _truth_key(first, truth0 is None)
+    if any(_truth_key(c, truth0 is None) != key for c in configs):
+        raise ValueError(
+            "configs of one run must agree on the grid, nu, kappa, L, stepper"
+            " and run_time (and spinup_time and seed without truth0)"
+        )
+    g = first.spec.grid
     if truth0 is None:
         truth, t_hist = spin_up(
-            cfg.params, g, cfg.stepper, cfg.spinup_time, seed=cfg.seed
+            first.params, g, first.stepper, first.spinup_time, seed=first.seed
         )
     else:
         if truth0.grid != g:
             raise ValueError("truth0 grid does not match the observation spec")
         truth, t_hist = truth0, None
 
-    assim = _initial_state(cfg, truth, v0, eta0)
-    a_hist: Optional[History] = None
-    mask = None
-    if spec.kind == MODAL and cfg.params.mu > 0:
-        mask = modal_projection_mask(spec).astype(float)
-    recorder = _Recorder(spec) if record_to is not None else None
+    masks = {
+        c.spec: modal_projection_mask(c.spec).astype(float)
+        for c in configs
+        if c.spec.kind == MODAL and c.params.mu > 0
+    }
+    recording = record_to is not None
+    copies = [
+        _Copy(c, _SeriesAccumulator(), _Recorder(c.spec) if recording else None)
+        for c in configs
+    ]
+    for c in copies:
+        try:
+            c.state = _initial_state(c.cfg, truth, v0, eta0)
+            c.acc.sample(truth, c.state)
+        except Exception as e:
+            c.failure = e
 
-    acc = _SeriesAccumulator()
-    acc.sample(truth, assim)
-    n_steps = _step_count(cfg.run_time, cfg.stepper.dt)
+    live = [c for c in copies if c.failure is None]
+    n_steps = _step_count(first.run_time, first.stepper.dt)
     for k in range(1, n_steps + 1):
-        truth_next, t_hist = step(
-            truth, cfg.params, cfg.stepper, history=t_hist, label="truth"
-        )
-        nd = _nudging_for_step(cfg, spec, mask, truth, truth_next, assim, recorder)
-        assim, a_hist = step(
-            assim,
-            cfg.params,
-            cfg.stepper,
-            nudging=nd,
-            history=a_hist,
-            label="assimilated",
-        )
+        if not live:
+            break
+        try:
+            truth_next, t_hist = step(
+                truth, first.params, first.stepper, history=t_hist, label="truth"
+            )
+        except Exception as e:
+            for c in live:
+                c.failure = e
+            break
+        obs = _StepObservations(truth, truth_next, masks)
         truth = truth_next
-        if k % cfg.sample_cadence == 0:
-            acc.sample(truth, assim)
+        for c in live:
+            try:
+                c.advance(obs)
+                if k % c.cfg.sample_cadence == 0:
+                    c.acc.sample(truth, c.state)
+            except Exception as e:
+                c.failure = e
+        live = [c for c in live if c.failure is None]
 
-    if recorder is not None:
-        rec = ObservationRecord(
-            kind=spec.kind,
-            h=spec.h,
+    if single and copies[0].failure is not None:
+        raise copies[0].failure
+    if recording:
+        rec = copies[0].recorder
+        ObservationRecord(
+            kind=first.spec.kind,
+            h=first.spec.h,
             L=g.L,
             nx=g.nx,
             ny=g.ny,
-            dt=cfg.stepper.dt,
-            times=np.array(recorder.times),
-            payload1=np.array(recorder.payload1),
-            payload2=np.array(recorder.payload2),
-        )
-        rec.save(record_to)
+            dt=first.stepper.dt,
+            times=np.array(rec.times),
+            payload1=np.array(rec.payload1),
+            payload2=np.array(rec.payload2),
+        ).save(record_to)
 
-    errors, diag = acc.build()
-    return TwinResult(errors, diag, truth, assim)
+    results = [
+        c.failure or TwinResult(*c.acc.build(), truth, c.state) for c in copies
+    ]
+    return results[0] if single else results
 
 
 def run_from_record(

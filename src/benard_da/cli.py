@@ -6,6 +6,11 @@ timestamps and wall-times.  CSV schemas (fixed column order):
     errors.csv:  t, w_H, w_V, xi_H, xi_V
     sweep.csv:   mu, h, rate, converged, wall_time_s, error
 
+A sweep nudges all its rows against one truth integration (one per
+worker chunk under --workers); each row is bit-identical to the twin
+command at its (mu, h), serial or parallel.  A row's wall_time_s is its
+chunk's wall time divided by the chunk's row count.
+
 Exit codes: 0 success, 1 unexpected failure, 2 configuration problem,
 3 solution blow-up, 4 unreadable or unwritable files, 5 validation suite
 failure.
@@ -237,24 +242,34 @@ def cmd_check_conditions(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_row(job: Tuple[RunConfig, float, float, State]) -> dict:
-    cfg, mu, h, truth0 = job
+def _sweep_chunk(
+    job: Tuple[RunConfig, Sequence[Tuple[float, float]], State]
+) -> List[dict]:
+    """Rows for the (mu, h) pairs of one chunk, all nudged against one truth."""
+    cfg, pairs, truth0 = job
     started = time.perf_counter()
-    row = {"mu": mu, "h": h, "rate": None, "converged": None, "error": ""}
-    try:
-        run_cfg = dataclasses.replace(cfg, mu=mu, h=h)
-        result = run_twin(run_cfg.twin_config(), truth0=truth0)
-        series = result.errors
-        energy = series.energy()
-        row["converged"] = bool(energy[-1] <= PRACTICAL_TARGET * energy[0])
-        fit = _fit_manifest(series, cfg.run_time)
-        row["rate"] = fit["rate"]
-    except BlowUpError as e:
-        row["error"] = f"blow-up: {e}"
-    except Exception as e:
-        row["error"] = f"{type(e).__name__}: {e}"
-    row["wall_time_s"] = time.perf_counter() - started
-    return row
+    rows, configs = [], []
+    for mu, h in pairs:
+        row = {"mu": mu, "h": h, "rate": None, "converged": None, "error": ""}
+        try:
+            configs.append((row, dataclasses.replace(cfg, mu=mu, h=h).twin_config()))
+        except Exception as e:
+            row["error"] = f"{type(e).__name__}: {e}"
+        rows.append(row)
+    results = run_twin([c for _, c in configs], truth0=truth0) if configs else []
+    for (row, _), result in zip(configs, results):
+        if isinstance(result, BlowUpError):
+            row["error"] = f"blow-up: {result}"
+        elif isinstance(result, Exception):
+            row["error"] = f"{type(result).__name__}: {result}"
+        else:
+            energy = result.errors.energy()
+            row["converged"] = bool(energy[-1] <= PRACTICAL_TARGET * energy[0])
+            row["rate"] = _fit_manifest(result.errors, cfg.run_time)["rate"]
+    wall = (time.perf_counter() - started) / len(rows)
+    for row in rows:
+        row["wall_time_s"] = wall
+    return rows
 
 
 def cmd_sweep(cfg: RunConfig, workers: Optional[int]) -> int:
@@ -265,12 +280,17 @@ def cmd_sweep(cfg: RunConfig, workers: Optional[int]) -> int:
     truth0, _ = spin_up(
         cfg.physical_params(), cfg.grid(), cfg.stepper(), cfg.spinup_time, seed=cfg.seed
     )
-    jobs = [(cfg, mu, h, truth0) for mu in mu_list for h in h_list]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+    pairs = [(mu, h) for mu in mu_list for h in h_list]
+    # one contiguous chunk per worker; each chunk integrates its own truth
+    n = max(1, min(workers or 1, len(pairs)))
+    cuts = [len(pairs) * i // n for i in range(n + 1)]
+    jobs = [(cfg, pairs[a:b], truth0) for a, b in zip(cuts, cuts[1:])]
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            chunks = list(pool.map(_sweep_chunk, jobs))
     else:
-        rows = [_sweep_row(j) for j in jobs]
+        chunks = [_sweep_chunk(j) for j in jobs]
+    rows = [row for chunk in chunks for row in chunk]
     path = out / "sweep.csv"
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)

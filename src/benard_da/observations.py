@@ -92,10 +92,6 @@ class InterpolantSpec:
             )
 
     @property
-    def is_projection(self) -> bool:
-        return self.kind == MODAL
-
-    @property
     def uses_two_term_bound(self) -> bool:
         return self.kind == NODAL
 
@@ -124,7 +120,7 @@ def _cell_operators(spec: InterpolantSpec):
 
     Ix[i, n] = integral of exp(i kx_n x) over x-cell i, and likewise
     Iyc/Iys for cos(m pi y)/sin(m pi y) over y-cells; Ex/Eyc/Eys are the
-    basis values at cell centers.
+    basis values at cell centers; dx, dy are the cell widths.
     """
     g = spec.grid
     xe, ye = cell_partition(spec)
@@ -150,16 +146,13 @@ def _cell_operators(spec: InterpolantSpec):
     ex = np.exp(1j * np.outer(xc, kx))
     eyc = np.cos(np.outer(yc, ky))
     eys = np.sin(np.outer(yc, ky))
-    return ix, iyc, iys, ex, eyc, eys
+    return ix, iyc, iys, ex, eyc, eys, xe[1] - xe[0], ye[1] - ye[0]
 
 
 def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
     """Cell averages (volume) or cell-center samples (nodal), complex."""
-    ix, iyc, iys, ex, eyc, eys = _cell_operators(spec)
-    xe, ye = cell_partition(spec)
+    ix, iyc, iys, ex, eyc, eys, dx, dy = _cell_operators(spec)
     if spec.kind == VOLUME:
-        dx = xe[1] - xe[0]
-        dy = ye[1] - ye[0]
         iy = iyc if f.parity == COS else iys
         return (ix / dx) @ f.coeffs @ (iy / dy).T
     ey = eyc if f.parity == COS else eys
@@ -168,7 +161,7 @@ def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
 
 def _reexpand(values: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralField:
     """Exact spectral coefficients of the piecewise-constant extension."""
-    ix, iyc, iys, _, _, _ = _cell_operators(spec)
+    ix, iyc, iys = _cell_operators(spec)[:3]
     g = spec.grid
     iy = iyc if parity == COS else iys
     coeffs = (ix.conj().T @ values @ iy) / g.weight[None, :]

@@ -35,6 +35,7 @@ structurally, as does theta = 0 for sin-parity scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -330,14 +331,20 @@ def leray_project(u: VectorField) -> VectorField:
     """
     g = u.grid
     d = 1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs
-    q = np.array(g.lam, copy=True)
-    q[0, 0] = 1.0
-    phi = -d / q
+    phi = -d / _gauged_lam(g)
     p1 = u.u1.coeffs - 1j * g.kx[:, None] * phi
     p2 = u.u2.coeffs + g.ky[None, :] * phi
-    p1 = np.array(p1, copy=True)
     p1[0, 0] = 0.0
     return VectorField(SpectralField(g, COS, p1), SpectralField(g, SIN, p2))
+
+
+@lru_cache(maxsize=8)
+def _gauged_lam(g: Grid) -> np.ndarray:
+    """Read-only Poisson divisor: lam with the (0, 0) gauge entry set to 1."""
+    q = np.array(g.lam, copy=True)
+    q[0, 0] = 1.0
+    q.flags.writeable = False
+    return q
 
 
 # ---------------------------------------------------------------------------

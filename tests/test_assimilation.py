@@ -9,11 +9,14 @@ everything relaxes to conduction.
 import numpy as np
 import pytest
 
+from benard_da import assimilation
 from benard_da.assimilation import (
     CUSTOM,
+    PERTURBED_TRUTH,
     ErrorSeries,
     ObservationRecord,
     TwinConfig,
+    TwinResult,
     fit_decay_rate,
     nudging_force,
     run_from_record,
@@ -251,6 +254,88 @@ class TestRunTwin:
         )
         res = run_twin(cfg, truth0=attractor_state)
         assert res.errors.w_h[-1] < 0.1 * res.errors.w_h[0]
+
+
+def assert_same_run(a: TwinResult, b: TwinResult) -> None:
+    """Every error column and both final states agree bit for bit."""
+    for name in ("times", "w_h", "w_v", "xi_h", "xi_v"):
+        assert np.array_equal(getattr(a.errors, name), getattr(b.errors, name)), name
+    pairs = ((a.truth_final, b.truth_final), (a.assimilated_final, b.assimilated_final))
+    for s, t in pairs:
+        assert s.time == t.time
+        assert np.array_equal(s.velocity.u1.coeffs, t.velocity.u1.coeffs)
+        assert np.array_equal(s.velocity.u2.coeffs, t.velocity.u2.coeffs)
+        assert np.array_equal(s.temperature.coeffs, t.temperature.coeffs)
+
+
+def row_config(kind: str, mu: float, h: float, **overrides) -> TwinConfig:
+    params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=mu, h=h)
+    kw = dict(params=params, spec=InterpolantSpec(kind, h, GRID), run_time=0.1)
+    kw.update(overrides)
+    return twin_config(**kw)
+
+
+class TestSharedTruth:
+    """A sequence of configs nudges every copy against one truth."""
+
+    @pytest.mark.parametrize("kind", [MODAL, NODAL])
+    def test_entries_match_single_runs(self, kind):
+        # mixed h, a mu = 0 control, a duplicated row, mixed cadences and
+        # initial policies; the spin-up is shared as well
+        configs = [
+            row_config(kind, 40.0, 0.2, spinup_time=0.5),
+            row_config(kind, 40.0, 0.25, spinup_time=0.5, sample_cadence=3),
+            row_config(kind, 0.0, 0.2, spinup_time=0.5),
+            row_config(kind, 40.0, 0.2, spinup_time=0.5),
+            row_config(
+                kind, 20.0, 0.25, spinup_time=0.5,
+                v0_policy=PERTURBED_TRUTH, epsilon=0.1,
+            ),
+        ]
+        shared = run_twin(configs)
+        assert len(shared) == len(configs)
+        for cfg, got in zip(configs, shared):
+            assert isinstance(got, TwinResult)
+            assert_same_run(got, run_twin(cfg))
+        assert shared[0] is not shared[3]
+
+    def test_failures_stop_only_their_copy(self, attractor_state):
+        # dt = 2e-3 exceeds 1/(2 mu) at mu = 1e6, and a 1e11 perturbation
+        # blows the copy up; neither may touch the bits of the others
+        configs = [
+            row_config(VOLUME, 20.0, 0.2),
+            row_config(VOLUME, 1e6, 0.2),
+            row_config(VOLUME, 20.0, 0.2, v0_policy=PERTURBED_TRUTH, epsilon=1e11),
+            row_config(VOLUME, 10.0, 0.25),
+        ]
+        shared = run_twin(configs, truth0=attractor_state)
+        assert isinstance(shared[1], ValueError)
+        assert "1/(2 mu)" in str(shared[1])
+        assert isinstance(shared[2], BlowUpError)
+        assert shared[2].label == "assimilated"
+        for i in (0, 3):
+            assert_same_run(shared[i], run_twin(configs[i], truth0=attractor_state))
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"stepper": StepperConfig(dt=1e-3)}, {"run_time": 0.2}],
+        ids=["dt", "run_time"],
+    )
+    def test_truth_disagreement_refused_before_any_step(self, monkeypatch, other):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before refusing the configs")
+
+        monkeypatch.setattr(assimilation, "step", no_integration)
+        monkeypatch.setattr(assimilation, "spin_up", no_integration)
+        configs = [row_config(MODAL, 40.0, 0.2), row_config(MODAL, 20.0, 0.2, **other)]
+        with pytest.raises(ValueError, match="agree"):
+            run_twin(configs)
+        with pytest.raises(ValueError, match="agree"):
+            run_twin(configs, truth0=State.zeros(GRID))
+
+    def test_record_to_takes_one_config(self, tmp_path):
+        with pytest.raises(ValueError, match="single config"):
+            run_twin([twin_config()], record_to=tmp_path / "obs.npz")
 
 
 class TestObservationReplay:

@@ -13,7 +13,7 @@ from benard_da.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from benard_da import cli
+from benard_da import assimilation, cli
 from benard_da.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -398,10 +398,40 @@ class TestSweepCommand:
             random_scalar(grid, rng, SIN, norm=1e8),
         )
         cfg = small_config(dt=1.0, run_time=10.0, nu=1e-8, kappa=1e-8)
-        row = cli._sweep_row((cfg, 40.0, 0.2, big))
+        rows = cli._sweep_chunk((cfg, [(40.0, 0.2), (10.0, 0.2), (40.0, 0.5)], big))
+        row = rows[0]
         assert row["error"].startswith("blow-up: solution blew up in truth at t = ")
         assert "(n, m) = (" in row["error"]
         assert row["rate"] is None
+        # the truth is shared, so its failure stops every row of the run
+        for other in rows[1:]:
+            assert other["error"] == row["error"]
+            assert other["rate"] is None
+
+    def test_truth_integrated_once(self, tmp_path, monkeypatch):
+        # the spin-up steps through stepping.integrate; every step after it
+        # goes through the binding in assimilation
+        labels = []
+        real_step = assimilation.step
+
+        def counting_step(*args, **kwargs):
+            labels.append(kwargs.get("label"))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(assimilation, "step", counting_step)
+        cfg = small_config(
+            spinup_time=0.1,
+            run_time=0.1,
+            sweep_mu=(10.0, 40.0, 0.0),
+            sweep_h=(0.2,),
+            output_dir=str(tmp_path),
+        )
+        p = tmp_path / "sweep.cfg"
+        save(cfg, p)
+        assert main(["sweep", "--config", str(p)]) == EXIT_OK
+        n = int(round(0.1 / 2e-3))
+        assert labels.count("truth") == n
+        assert labels.count("assimilated") == 3 * n
 
 
 class TestCheckConditionsCommand:
