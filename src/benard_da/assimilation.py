@@ -10,19 +10,23 @@ synchronized to round-off and removes any dt restriction from large mu; for
 volume/nodal operators the force is explicit with start-of-step data and
 the stepper enforces dt <= 1/(2 mu).
 
-Both trajectories share one dt.  One truth can drive several nudged
-copies at once (run_twin over a sequence of configs, as a sweep over mu and
-h does); each copy is bit-identical to its own single run.  Error and
-truth-diagnostic series are sampled on a fixed step cadence; coarse
-observations can be recorded to a file and an assimilation replayed
-against the recording, reproducing the live assimilated trajectory bit for
-bit.
+Both trajectories share one dt.  One lock-step loop advances the nudged
+copies, fed one step's observations at a time by one of two sources: the
+truth, stepped and measured once per spec per step (run_twin), or the rows
+of an ObservationRecord (run_from_record).  An observation is the finite
+data of observations.measure() and its interpolant I_h; a copy turns it
+into the step's nudging the same way whatever the source.  One truth can
+drive several copies at once (run_twin over a sequence of configs, as a
+sweep over mu and h does); each copy is bit-identical to its own single
+run.  Error and truth-diagnostic series are sampled on a fixed step
+cadence; the data a copy was fed can be recorded to a file, and replaying
+it reproduces the live assimilated trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +34,8 @@ from .model import PhysicalParams, State
 from .observations import (
     MODAL,
     InterpolantSpec,
+    interpolate,
+    measure,
     modal_projection_mask,
     observe,
 )
@@ -186,6 +192,18 @@ class TwinResult:
     assimilated_final: State
 
 
+def _observed_gap(
+    v: VectorField, u_obs: VectorField, spec: InterpolantSpec
+) -> VectorField:
+    """I_h(v) - u_obs, the observed-space gap of v to the data's interpolant."""
+    ov = observe(v, spec)
+    g = v.grid
+    return VectorField(
+        SpectralField(g, COS, ov.u1.coeffs - u_obs.u1.coeffs),
+        SpectralField(g, SIN, ov.u2.coeffs - u_obs.u2.coeffs),
+    )
+
+
 def nudging_force(
     v: VectorField, u_obs: VectorField, spec: InterpolantSpec, mu: float
 ) -> VectorField:
@@ -196,13 +214,8 @@ def nudging_force(
         raise ValueError("velocity, observations, and spec must share one grid")
     if mu == 0.0:
         return VectorField.zeros(v.grid)
-    ov = observe(v, spec)
     g = v.grid
-    diff = VectorField(
-        SpectralField(g, COS, ov.u1.coeffs - u_obs.u1.coeffs),
-        SpectralField(g, SIN, ov.u2.coeffs - u_obs.u2.coeffs),
-    )
-    proj = leray_project(diff)
+    proj = leray_project(_observed_gap(v, u_obs, spec))
     return VectorField(
         SpectralField(g, COS, -mu * proj.u1.coeffs),
         SpectralField(g, SIN, -mu * proj.u2.coeffs),
@@ -300,36 +313,16 @@ class _SeriesAccumulator:
         return errors, diag
 
 
-@dataclass
-class _Recorder:
-    spec: InterpolantSpec
-    times: List[float] = field(default_factory=list)
-    payload1: List[np.ndarray] = field(default_factory=list)
-    payload2: List[np.ndarray] = field(default_factory=list)
-
-    def add_modal(self, t: float, d1: np.ndarray, d2: np.ndarray, idx) -> None:
-        self.times.append(t)
-        self.payload1.append(d1[idx])
-        self.payload2.append(d2[idx])
-
-    def add_coarse(self, t: float, truth_velocity: VectorField) -> None:
-        # Store the cell values of the truth itself; re-expanding them is
-        # exactly what observe() does, so replay reproduces the live force.
-        from .observations import _coarse_values
-
-        self.times.append(t)
-        self.payload1.append(_coarse_values(truth_velocity.u1, self.spec).real)
-        self.payload2.append(_coarse_values(truth_velocity.u2, self.spec).real)
-
-
 @dataclass(frozen=True)
 class ObservationRecord:
     """Per-step coarse velocity observations from a truth run.
 
-    Modal records store the complex coefficients of the observed modes at
+    Row k holds the data observations.measure() gave at step k: modal
+    records store the complex coefficients of the observed modes at
     step-end times; volume/nodal records store cell averages/samples at
-    step-start times.  Replaying against the same configuration reproduces
-    the live assimilated trajectory exactly.
+    step-start times.  Every step is recorded, whatever mu.  Replaying
+    against the same configuration reproduces the live assimilated
+    trajectory exactly.
     """
 
     kind: str
@@ -384,65 +377,108 @@ class ObservationRecord:
 
 
 class _StepObservations(dict):
-    """One step's truth observations, made once per spec on first use.
+    """One step's observations: spec -> (time, data, I_h(data)).
 
-    Modal specs map to the masked end-of-step coefficients (the implicit
-    form's data); volume/nodal specs map to observe() of the start-of-step
-    velocity.  The copies that share a spec share the entry.
+    Filled from the truth stepped from now to nxt, measured once per spec on
+    first use and shared by every copy using that spec: modal specs measure
+    the end-of-step velocity (the implicit form's data), volume/nodal specs
+    the start-of-step velocity.  A replay fills its one spec from a record
+    row instead.
     """
 
-    def __init__(
-        self, now: State, nxt: State, masks: Dict[InterpolantSpec, np.ndarray]
-    ):
+    def __init__(self, now: Optional[State] = None, nxt: Optional[State] = None):
         super().__init__()
-        self.now, self.nxt, self.masks = now, nxt, masks
+        self.now, self.nxt = now, nxt
 
     def __missing__(self, spec: InterpolantSpec):
-        if spec.kind == MODAL:
-            m = self.masks[spec]
-            obs = (m * self.nxt.velocity.u1.coeffs, m * self.nxt.velocity.u2.coeffs)
-            for d in obs:
-                d.flags.writeable = False
-        else:
-            obs = observe(self.now.velocity, spec)
-        self[spec] = obs
+        s = self.nxt if spec.kind == MODAL else self.now
+        data = measure(s.velocity, spec)
+        obs = self[spec] = (s.time, data, interpolate(data, spec))
         return obs
 
 
 @dataclass
 class _Copy:
-    """One nudged copy in a shared-truth run and what stopped it, if anything."""
+    """One nudged copy in a lock-step run and what stopped it, if anything.
 
-    cfg: TwinConfig
-    acc: _SeriesAccumulator
-    recorder: Optional[_Recorder]
+    acc samples the errors against the truth every cadence steps (live
+    runs); fed collects the (time, data1, data2) rows the copy was fed
+    (record_to); residuals collects the observed-space residual at each
+    data time (replays).
+    """
+
+    params: PhysicalParams
+    spec: InterpolantSpec
+    stepper: StepperConfig
     state: Optional[State] = None
+    cadence: int = 1
+    acc: _SeriesAccumulator = field(default_factory=_SeriesAccumulator)
+    fed: Optional[list] = None
+    residuals: Optional[list] = None
     history: Optional[History] = None
     failure: Optional[Exception] = None
 
     def advance(self, obs: _StepObservations) -> None:
         """Step the copy across the step whose observations are obs."""
-        mu, spec = self.cfg.params.mu, self.cfg.spec
+        mu, spec = self.params.mu, self.spec
         nd = None
+        if mu > 0.0 or self.fed is not None or self.residuals is not None:
+            t, data, u_obs = obs[spec]
+            if self.fed is not None:
+                self.fed.append((t, *data))
         if mu > 0.0 and spec.kind == MODAL:
-            d1, d2 = obs[spec]
-            mask = obs.masks[spec]
-            if self.recorder is not None:
-                self.recorder.add_modal(obs.nxt.time, d1, d2, mask > 0)
-            nd = NudgingStep(mu=mu, observed_mask=mask, data1=d1, data2=d2)
+            nd = NudgingStep(
+                mu=mu,
+                observed_mask=modal_projection_mask(spec),
+                data1=u_obs.u1.coeffs,
+                data2=u_obs.u2.coeffs,
+            )
         elif mu > 0.0:
-            if self.recorder is not None:
-                self.recorder.add_coarse(obs.now.time, obs.now.velocity)
-            force = nudging_force(self.state.velocity, obs[spec], spec, mu)
+            force = nudging_force(self.state.velocity, u_obs, spec, mu)
             nd = NudgingStep(mu=mu, force=force)
+        # The residual is taken at the data's time: before the step for the
+        # start-of-step volume/nodal data, after it for the modal end-of-step.
+        if self.residuals is not None and spec.kind != MODAL:
+            self.residuals.append(norm_h(_observed_gap(self.state.velocity, u_obs, spec)))
         self.state, self.history = step(
             self.state,
-            self.cfg.params,
-            self.cfg.stepper,
+            self.params,
+            self.stepper,
             nudging=nd,
             history=self.history,
             label="assimilated",
         )
+        if self.residuals is not None and spec.kind == MODAL:
+            self.residuals.append(norm_h(_observed_gap(self.state.velocity, u_obs, spec)))
+
+
+def _lock_step(
+    copies: List[_Copy], feed: Iterator[Tuple[Optional[State], _StepObservations]]
+) -> None:
+    """Advance every live copy across each step that feed yields.
+
+    feed yields the end-of-step truth (None in a replay) and the step's
+    observations.  An exception in a copy stops that copy; one in feed (the
+    truth) stops every copy still running.
+    """
+    live = [c for c in copies if c.failure is None]
+    if not live:
+        return
+    try:
+        for k, (truth, obs) in enumerate(feed, 1):
+            for c in live:
+                try:
+                    c.advance(obs)
+                    if truth is not None and k % c.cadence == 0:
+                        c.acc.sample(truth, c.state)
+                except Exception as e:
+                    c.failure = e
+            live = [c for c in live if c.failure is None]
+            if not live:
+                return
+    except Exception as e:
+        for c in live:
+            c.failure = e
 
 
 def _truth_key(cfg: TwinConfig, spun_up: bool) -> tuple:
@@ -498,51 +534,34 @@ def run_twin(
             raise ValueError("truth0 grid does not match the observation spec")
         truth, t_hist = truth0, None
 
-    masks = {
-        c.spec: modal_projection_mask(c.spec).astype(float)
-        for c in configs
-        if c.spec.kind == MODAL and c.params.mu > 0
-    }
-    recording = record_to is not None
     copies = [
-        _Copy(c, _SeriesAccumulator(), _Recorder(c.spec) if recording else None)
-        for c in configs
+        _Copy(c.params, c.spec, c.stepper, cadence=c.sample_cadence) for c in configs
     ]
-    for c in copies:
+    if record_to is not None:
+        copies[0].fed = []
+    for c, cfg_c in zip(copies, configs):
         try:
-            c.state = _initial_state(c.cfg, truth, v0, eta0)
+            c.state = _initial_state(cfg_c, truth, v0, eta0)
             c.acc.sample(truth, c.state)
         except Exception as e:
             c.failure = e
 
-    live = [c for c in copies if c.failure is None]
-    n_steps = _step_count(first.run_time, first.stepper.dt)
-    for k in range(1, n_steps + 1):
-        if not live:
-            break
-        try:
-            truth_next, t_hist = step(
+    def truth_steps():
+        nonlocal truth, t_hist
+        for _ in range(_step_count(first.run_time, first.stepper.dt)):
+            nxt, t_hist = step(
                 truth, first.params, first.stepper, history=t_hist, label="truth"
             )
-        except Exception as e:
-            for c in live:
-                c.failure = e
-            break
-        obs = _StepObservations(truth, truth_next, masks)
-        truth = truth_next
-        for c in live:
-            try:
-                c.advance(obs)
-                if k % c.cfg.sample_cadence == 0:
-                    c.acc.sample(truth, c.state)
-            except Exception as e:
-                c.failure = e
-        live = [c for c in live if c.failure is None]
+            obs = _StepObservations(truth, nxt)
+            truth = nxt
+            yield truth, obs
+
+    _lock_step(copies, truth_steps())
 
     if single and copies[0].failure is not None:
         raise copies[0].failure
-    if recording:
-        rec = copies[0].recorder
+    if record_to is not None:
+        times, payload1, payload2 = map(np.array, zip(*copies[0].fed))
         ObservationRecord(
             kind=first.spec.kind,
             h=first.spec.h,
@@ -550,9 +569,9 @@ def run_twin(
             nx=g.nx,
             ny=g.ny,
             dt=first.stepper.dt,
-            times=np.array(rec.times),
-            payload1=np.array(rec.payload1),
-            payload2=np.array(rec.payload2),
+            times=times,
+            payload1=payload1,
+            payload2=payload2,
         ).save(record_to)
 
     results = [
@@ -580,54 +599,32 @@ def run_from_record(
     if stepper.cfl_target is not None:
         raise ValueError("replay steps at the recorded dt; cfl_target is not supported")
     g = spec.grid
-    assim = State(
+    n, row = len(record.times), measure(VectorField.zeros(g), spec)[0].shape
+    for name in ("payload1", "payload2"):
+        payload = getattr(record, name)
+        if len(payload) != n:
+            raise ValueError(f"record {name} has {len(payload)} rows for {n} times")
+        if n and payload.shape[1:] != row:
+            raise ValueError(
+                f"record {name} rows have shape {payload.shape[1:]};"
+                f" measure gives {row} for this spec"
+            )
+    start = State(
         v0 if v0 is not None else VectorField.zeros(g),
         eta0 if eta0 is not None else SpectralField.zeros(g, SIN),
     )
-    hist: Optional[History] = None
-    mu = params.mu
-    residuals = []
-    if spec.kind == MODAL:
-        mask = modal_projection_mask(spec)
-        maskf = mask.astype(float)
-        idx = mask > 0
-        for i in range(len(record.times)):
-            d1 = np.zeros(g.shape, dtype=complex)
-            d2 = np.zeros(g.shape, dtype=complex)
-            d1[idx] = record.payload1[i]
-            d2[idx] = record.payload2[i]
-            nd = NudgingStep(mu=mu, observed_mask=maskf, data1=d1, data2=d2)
-            assim, hist = step(
-                assim, params, stepper, nudging=nd, history=hist,
-                label="assimilated",
-            )
-            ov = observe(assim.velocity, spec)
-            diff = VectorField(
-                SpectralField(g, COS, ov.u1.coeffs - d1),
-                SpectralField(g, SIN, ov.u2.coeffs - d2),
-            )
-            residuals.append(norm_h(diff))
-    else:
-        from .observations import _reexpand
+    copy = _Copy(params, spec, stepper, state=start, residuals=[])
 
-        for i in range(len(record.times)):
-            u_obs = VectorField(
-                _reexpand(record.payload1[i], COS, spec),
-                _reexpand(record.payload2[i], SIN, spec),
-            )
-            ov = observe(assim.velocity, spec)
-            diff = VectorField(
-                SpectralField(g, COS, ov.u1.coeffs - u_obs.u1.coeffs),
-                SpectralField(g, SIN, ov.u2.coeffs - u_obs.u2.coeffs),
-            )
-            residuals.append(norm_h(diff))
-            force = nudging_force(assim.velocity, u_obs, spec, mu)
-            nd = NudgingStep(mu=mu, force=force) if mu > 0 else None
-            assim, hist = step(
-                assim, params, stepper, nudging=nd, history=hist,
-                label="assimilated",
-            )
-    return assim, record.times.copy(), np.array(residuals)
+    def record_rows():
+        for t, d1, d2 in zip(record.times, record.payload1, record.payload2):
+            obs = _StepObservations()
+            obs[spec] = (t, (d1, d2), interpolate((d1, d2), spec))
+            yield None, obs
+
+    _lock_step([copy], record_rows())
+    if copy.failure is not None:
+        raise copy.failure
+    return copy.state, record.times.copy(), np.array(copy.residuals)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "advection_velocity",
     "advection_scalar",
     "buoyancy",
-    "vertical_velocity",
     "explicit_rhs",
     "rhs_truth",
 ]
@@ -134,11 +133,6 @@ def buoyancy(theta: SpectralField) -> VectorField:
     return leray_project(
         VectorField(SpectralField.zeros(theta.grid, COS), theta)
     )
-
-
-def vertical_velocity(u: VectorField) -> SpectralField:
-    """u . e2 as a sine-parity scalar (the temperature source term)."""
-    return u.u2
 
 
 def explicit_rhs(

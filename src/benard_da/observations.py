@@ -10,10 +10,15 @@ Three kinds at resolution h on the solver's own grid:
 - "nodal": point samples at the cell centers of the same partition,
   extended piecewise-constant and re-expanded the same way.
 
+Every kind splits into finite data and the interpolant built from it:
+observe(u) = interpolate(measure(u)).  measure() gives the data, one array
+per velocity component: the complex coefficients at the retained modes
+(modal), the real cell averages (volume) or the real cell-center values
+(nodal).  interpolate() turns that data back into the spectral field I_h(u).
 Cell integrals of the trigonometric basis functions have closed forms, so
 both the averaging and the re-expansion are exact linear maps; no secondary
 interpolation is involved anywhere.  Observations are of velocity only:
-observe() rejects scalar fields so that no code path can ever consume a
+measure() rejects scalar fields so that no code path can ever consume a
 temperature observation.
 
 The modal operator satisfies the one-term approximation bound
@@ -58,11 +63,11 @@ __all__ = [
     "NODAL",
     "KINDS",
     "InterpolantSpec",
+    "measure",
+    "interpolate",
     "observe",
     "modal_projection_mask",
     "cell_partition",
-    "volume_cell_averages",
-    "nodal_samples",
     "approximation_samples",
     "estimate_approximation_constant",
 ]
@@ -96,13 +101,16 @@ class InterpolantSpec:
         return self.kind == NODAL
 
 
+@lru_cache(maxsize=32)
 def modal_projection_mask(spec: InterpolantSpec) -> np.ndarray:
-    """Boolean retention mask for the modal kind: |k| <= 1/h."""
+    """Boolean retention mask for the modal kind: |k| <= 1/h (read-only)."""
     if spec.kind != MODAL:
         raise ValueError(f"projection mask is defined for modal specs, not {spec.kind!r}")
     g = spec.grid
     k2 = g.kx[:, None] ** 2 + g.ky[None, :] ** 2
-    return k2 <= (1.0 / spec.h) ** 2
+    mask = k2 <= (1.0 / spec.h) ** 2
+    mask.flags.writeable = False
+    return mask
 
 
 def cell_partition(spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,61 +158,63 @@ def _cell_operators(spec: InterpolantSpec):
 
 
 def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
-    """Cell averages (volume) or cell-center samples (nodal), complex."""
+    """Cell averages (volume) or cell-center samples (nodal), real."""
     ix, iyc, iys, ex, eyc, eys, dx, dy = _cell_operators(spec)
     if spec.kind == VOLUME:
         iy = iyc if f.parity == COS else iys
-        return (ix / dx) @ f.coeffs @ (iy / dy).T
-    ey = eyc if f.parity == COS else eys
-    return ex @ f.coeffs @ ey.T
+        values = (ix / dx) @ f.coeffs @ (iy / dy).T
+    else:
+        ey = eyc if f.parity == COS else eys
+        values = ex @ f.coeffs @ ey.T
+    # Cell values of a real field are real; dropping the round-off imaginary
+    # dust here keeps recorded observation streams exactly replayable.
+    return values.real
 
 
-def _reexpand(values: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralField:
-    """Exact spectral coefficients of the piecewise-constant extension."""
-    ix, iyc, iys = _cell_operators(spec)[:3]
+def _expand(data: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralField:
+    """One component of I_h: the retained modes in place, or the exact
+    spectral coefficients of the piecewise-constant extension of the cells."""
     g = spec.grid
-    iy = iyc if parity == COS else iys
-    coeffs = (ix.conj().T @ values @ iy) / g.weight[None, :]
-    coeffs = np.where(g.dealias_mask, coeffs, 0.0)
+    if spec.kind == MODAL:
+        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs[modal_projection_mask(spec)] = data
+    else:
+        ix, iyc, iys = _cell_operators(spec)[:3]
+        iy = iyc if parity == COS else iys
+        coeffs = (ix.conj().T @ data @ iy) / g.weight[None, :]
+        coeffs = np.where(g.dealias_mask, coeffs, 0.0)
     return SpectralField(g, parity, coeffs)
 
 
-def volume_cell_averages(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
-    """Exact cell averages of f over the volume partition (real array)."""
-    if spec.kind != VOLUME:
-        raise ValueError("cell averages are defined for volume specs")
-    return _coarse_values(f, spec).real
+def measure(u: VectorField, spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The finite observation data of a velocity field, one array per component.
 
-
-def nodal_samples(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
-    """Exact cell-center values of f (real array)."""
-    if spec.kind != NODAL:
-        raise ValueError("nodal samples are defined for nodal specs")
-    return _coarse_values(f, spec).real
-
-
-def _observe_component(f: SpectralField, spec: InterpolantSpec) -> SpectralField:
+    Modal: the complex coefficients at the retained modes, in mask order.
+    Volume: the real cell averages; nodal: the real cell-center values,
+    both of shape (cells in x, cells in y).  Scalar fields are refused: the
+    assimilation uses velocity observations only, and this interface is
+    where that restriction is enforced.
+    """
+    if not isinstance(u, VectorField):
+        raise TypeError(
+            "measure() takes a velocity VectorField; scalar fields are never observed"
+        )
+    if u.grid != spec.grid:
+        raise ValueError("field and observation spec live on different grids")
     if spec.kind == MODAL:
         mask = modal_projection_mask(spec)
-        return SpectralField(f.grid, f.parity, np.where(mask, f.coeffs, 0.0))
-    # Cell values of a real field are real; dropping the round-off imaginary
-    # dust here keeps recorded observation streams exactly replayable.
-    return _reexpand(_coarse_values(f, spec).real, f.parity, spec)
+        return u.u1.coeffs[mask], u.u2.coeffs[mask]
+    return _coarse_values(u.u1, spec), _coarse_values(u.u2, spec)
+
+
+def interpolate(data: tuple, spec: InterpolantSpec) -> VectorField:
+    """The interpolant I_h built from measure()'s data for the same spec."""
+    return VectorField(_expand(data[0], COS, spec), _expand(data[1], SIN, spec))
 
 
 def observe(f: VectorField, spec: InterpolantSpec) -> VectorField:
-    """Apply the observation operator to a velocity field.
-
-    Scalar fields are refused: the assimilation uses velocity observations
-    only, and this interface is where that restriction is enforced.
-    """
-    if not isinstance(f, VectorField):
-        raise TypeError(
-            "observe() takes a velocity VectorField; scalar fields are never observed"
-        )
-    if f.grid != spec.grid:
-        raise ValueError("field and observation spec live on different grids")
-    return VectorField(_observe_component(f.u1, spec), _observe_component(f.u2, spec))
+    """Apply the observation operator to a velocity field: I_h(f)."""
+    return interpolate(measure(f, spec), spec)
 
 
 def _shell_solenoidal(

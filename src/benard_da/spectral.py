@@ -61,7 +61,6 @@ __all__ = [
     "random_scalar",
     "random_solenoidal",
     "stokes_smallest_eigenvalue",
-    "smallest_eigenvalue",
     "solenoidality_defect",
     "reality_defect",
     "hermitian_part",
@@ -471,14 +470,6 @@ def stokes_smallest_eigenvalue(grid: Grid, space: str) -> float:
     m = np.arange(grid.ny + 1)[None, :]
     sel = grid.dealias_mask & (m >= 1) & (m <= grid.ny - 1)
     return float(grid.lam[sel].min())
-
-
-def smallest_eigenvalue(grid: Grid) -> float:
-    """min over the velocity and temperature spaces; the lambda_1 of reports."""
-    return min(
-        stokes_smallest_eigenvalue(grid, "velocity"),
-        stokes_smallest_eigenvalue(grid, "temperature"),
-    )
 
 
 # ---------------------------------------------------------------------------

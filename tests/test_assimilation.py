@@ -6,6 +6,8 @@ the truth settles into convection rolls; subcritical cases use 0.05 where
 everything relaxes to conduction.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,81 @@ class TestObservationReplay:
         cfl = StepperConfig(dt=STEP.dt, cfl_target=0.5)
         with pytest.raises(ValueError, match="cfl_target"):
             run_from_record(rec, SUPER, spec, cfl)
+
+
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])
+    def test_mu_zero_stream_is_recorded_and_replayed(self, tmp_path, kind):
+        # every fed step is recorded whatever mu, so the unnudged copy's
+        # replay takes every step too
+        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=0.0, h=0.2)
+        spec = InterpolantSpec(kind, 0.2, GRID)
+        cfg = twin_config(
+            params=params, spec=spec, run_time=0.04, spinup_time=0.5,
+            v0_policy=CUSTOM,
+        )
+        v0 = random_solenoidal(GRID, np.random.default_rng(11))
+        path = tmp_path / "obs.npz"
+        live = run_twin(cfg, v0=v0, record_to=path)
+        rec = ObservationRecord.load(path)
+        assert len(rec.times) == int(round(0.04 / STEP.dt))
+        final, _, residuals = run_from_record(rec, params, spec, STEP, v0=v0)
+        assert len(residuals) == len(rec.times)
+        got = (final.velocity.u1, final.velocity.u2, final.temperature)
+        a = live.assimilated_final
+        want = (a.velocity.u1, a.velocity.u2, a.temperature)
+        for x, y in zip(got, want):
+            assert np.array_equal(x.coeffs, y.coeffs)
+
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])
+    def test_residuals_taken_at_the_data_time(self, tmp_path, kind):
+        # A copy started on the truth stays on it, so the residual at the
+        # data's own time vanishes: exactly for the explicit kinds (their
+        # force is exactly zero), to round-off for the implicit modal form.
+        # The wrong side of the step would see a whole step of motion.
+        truth0, _ = spin_up(SUPER, GRID, STEP, 2.0, seed=3)
+        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=30.0, h=0.25)
+        spec = InterpolantSpec(kind, 0.25, GRID)
+        cfg = twin_config(
+            params=params, spec=spec, run_time=0.04, spinup_time=0.0,
+            v0_policy=CUSTOM, eta0_policy=CUSTOM,
+        )
+        path = tmp_path / "obs.npz"
+        run_twin(
+            cfg, truth0=truth0, v0=truth0.velocity, eta0=truth0.temperature,
+            record_to=path,
+        )
+        _, _, residuals = run_from_record(
+            ObservationRecord.load(path), params, spec, STEP,
+            v0=truth0.velocity, eta0=truth0.temperature,
+        )
+        assert len(residuals) == int(round(0.04 / STEP.dt))
+        if kind == MODAL:
+            assert residuals.max() <= 1e-14 * norm_h(truth0.velocity)
+        else:
+            assert np.all(residuals == 0.0)
+
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME])
+    def test_malformed_record_refused_before_any_step(self, tmp_path, monkeypatch, kind):
+        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=20.0, h=0.2)
+        spec = InterpolantSpec(kind, 0.2, GRID)
+        cfg = twin_config(params=params, spec=spec, run_time=0.02, spinup_time=0.0)
+        path = tmp_path / "obs.npz"
+        run_twin(cfg, record_to=path)
+        rec = ObservationRecord.load(path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before refusing the record")
+
+        monkeypatch.setattr(assimilation, "step", no_step)
+        short = dataclasses.replace(rec, payload1=rec.payload1[:-3])
+        with pytest.raises(ValueError, match="payload1 has 7 rows for 10 times"):
+            run_from_record(short, params, spec, STEP)
+        narrow = dataclasses.replace(rec, payload2=rec.payload2[..., :-1])
+        got, want = narrow.payload2.shape[1:], rec.payload2.shape[1:]
+        with pytest.raises(ValueError) as err:
+            run_from_record(narrow, params, spec, STEP)
+        assert f"payload2 rows have shape {got}" in str(err.value)
+        assert f"measure gives {want}" in str(err.value)
 
 
 class TestFitDecayRate:

@@ -16,10 +16,9 @@ from benard_da.observations import (
     InterpolantSpec,
     cell_partition,
     estimate_approximation_constant,
+    measure,
     modal_projection_mask,
-    nodal_samples,
     observe,
-    volume_cell_averages,
 )
 from benard_da.spectral import (
     Grid,
@@ -75,6 +74,29 @@ class TestSpecValidation:
         w = random_solenoidal(other, rng)
         with pytest.raises(ValueError):
             observe(w, InterpolantSpec(MODAL, 0.25, grid))
+
+
+class TestMeasureInterpolate:
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])
+    def test_data_is_finite_dimensional(self, grid, kind):
+        w = random_solenoidal(grid, np.random.default_rng(8))
+        spec = InterpolantSpec(kind, 0.25, grid)
+        d1, d2 = measure(w, spec)
+        if kind == MODAL:
+            mask = modal_projection_mask(spec)
+            assert d1.shape == d2.shape == (mask.sum(),)
+            assert np.array_equal(d1, w.u1.coeffs[mask])
+        else:
+            xe, ye = cell_partition(spec)
+            assert d1.shape == d2.shape == (len(xe) - 1, len(ye) - 1)
+            assert d1.dtype == d2.dtype == np.float64
+
+    def test_modal_mask_is_cached_and_read_only(self, grid):
+        spec = InterpolantSpec(MODAL, 0.25, grid)
+        mask = modal_projection_mask(spec)
+        assert modal_projection_mask(InterpolantSpec(MODAL, 0.25, grid)) is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
 
 class TestLinearity:
@@ -158,7 +180,7 @@ class TestVolume:
         X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         f = analyze(grid, sp.lambdify((x, y), expr, "numpy")(X, Y), "sin")
         spec = InterpolantSpec(VOLUME, 0.5, grid)
-        got = volume_cell_averages(f, spec)
+        got = measure(VectorField(SpectralField.zeros(grid, "cos"), f), spec)[1]
         xe, ye = cell_partition(spec)
         for i in range(len(xe) - 1):
             for j in range(len(ye) - 1):
@@ -192,7 +214,7 @@ class TestNodal:
         X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         f = analyze(grid, sp.lambdify((x, y), expr, "numpy")(X, Y), "cos")
         spec = InterpolantSpec(NODAL, 0.25, grid)
-        got = nodal_samples(f, spec)
+        got = measure(VectorField(f, SpectralField.zeros(grid, "sin")), spec)[0]
         xe, ye = cell_partition(spec)
         xc = 0.5 * (xe[:-1] + xe[1:])
         yc = 0.5 * (ye[:-1] + ye[1:])
