@@ -30,7 +30,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import PhysicalParams, State
+from .model import PhysicalParams, State, temperature_tendency
 from .observations import (
     MODAL,
     InterpolantSpec,
@@ -40,7 +40,6 @@ from .observations import (
     observe,
 )
 from .spectral import (
-    COS,
     SIN,
     Grid,
     SpectralField,
@@ -192,18 +191,6 @@ class TwinResult:
     assimilated_final: State
 
 
-def _observed_gap(
-    v: VectorField, u_obs: VectorField, spec: InterpolantSpec
-) -> VectorField:
-    """I_h(v) - u_obs, the observed-space gap of v to the data's interpolant."""
-    ov = observe(v, spec)
-    g = v.grid
-    return VectorField(
-        SpectralField(g, COS, ov.u1.coeffs - u_obs.u1.coeffs),
-        SpectralField(g, SIN, ov.u2.coeffs - u_obs.u2.coeffs),
-    )
-
-
 def nudging_force(
     v: VectorField, u_obs: VectorField, spec: InterpolantSpec, mu: float
 ) -> VectorField:
@@ -214,12 +201,7 @@ def nudging_force(
         raise ValueError("velocity, observations, and spec must share one grid")
     if mu == 0.0:
         return VectorField.zeros(v.grid)
-    g = v.grid
-    proj = leray_project(_observed_gap(v, u_obs, spec))
-    return VectorField(
-        SpectralField(g, COS, -mu * proj.u1.coeffs),
-        SpectralField(g, SIN, -mu * proj.u2.coeffs),
-    )
+    return -mu * leray_project(observe(v, spec) - u_obs)
 
 
 def spin_up(
@@ -260,10 +242,7 @@ def _initial_state(
         vel = VectorField.zeros(g)
     elif cfg.v0_policy == PERTURBED_TRUTH:
         noise = random_solenoidal(g, rng, norm=cfg.epsilon)
-        vel = VectorField(
-            SpectralField(g, COS, truth.velocity.u1.coeffs + noise.u1.coeffs),
-            SpectralField(g, SIN, truth.velocity.u2.coeffs + noise.u2.coeffs),
-        )
+        vel = truth.velocity + noise
     else:
         if v0 is None:
             raise ValueError("v0_policy='custom' requires an explicit v0")
@@ -272,7 +251,7 @@ def _initial_state(
         tem = SpectralField.zeros(g, SIN)
     elif cfg.eta0_policy == PERTURBED_TRUTH:
         noise = random_scalar(g, rng, SIN, norm=cfg.epsilon)
-        tem = SpectralField(g, SIN, truth.temperature.coeffs + noise.coeffs)
+        tem = truth.temperature + noise
     else:
         if eta0 is None:
             raise ValueError("eta0_policy='custom' requires an explicit eta0")
@@ -285,12 +264,8 @@ class _SeriesAccumulator:
         self.rows: List[Tuple[float, ...]] = []
 
     def sample(self, truth: State, assim: State) -> None:
-        g = truth.grid
-        w = VectorField(
-            SpectralField(g, COS, truth.velocity.u1.coeffs - assim.velocity.u1.coeffs),
-            SpectralField(g, SIN, truth.velocity.u2.coeffs - assim.velocity.u2.coeffs),
-        )
-        xi = SpectralField(g, SIN, truth.temperature.coeffs - assim.temperature.coeffs)
+        w = truth.velocity - assim.velocity
+        xi = truth.temperature - assim.temperature
         self.rows.append(
             (
                 truth.time,
@@ -439,7 +414,7 @@ class _Copy:
         # The residual is taken at the data's time: before the step for the
         # start-of-step volume/nodal data, after it for the modal end-of-step.
         if self.residuals is not None and spec.kind != MODAL:
-            self.residuals.append(norm_h(_observed_gap(self.state.velocity, u_obs, spec)))
+            self.residuals.append(norm_h(observe(self.state.velocity, spec) - u_obs))
         self.state, self.history = step(
             self.state,
             self.params,
@@ -449,7 +424,7 @@ class _Copy:
             label="assimilated",
         )
         if self.residuals is not None and spec.kind == MODAL:
-            self.residuals.append(norm_h(_observed_gap(self.state.velocity, u_obs, spec)))
+            self.residuals.append(norm_h(observe(self.state.velocity, spec) - u_obs))
 
 
 def _lock_step(
@@ -697,24 +672,17 @@ def run_temperature_slaving(
     if theta_a.grid != truth0.grid or theta_b.grid != truth0.grid:
         raise ValueError("temperatures must live on the truth grid")
     n_steps = _step_count(run_time, stepper.dt)
-    from .model import advection_scalar
-
     truth = truth0
     t_hist: Optional[History] = None
     ha: Optional[ScalarHistory] = None
     hb: Optional[ScalarHistory] = None
-    g = truth0.grid
     if stepper.scheme == "imex-cnab2":
         c0 = truth0.velocity
-
-        def tendency(th: SpectralField) -> np.ndarray:
-            return -advection_scalar(c0, th).coeffs + c0.u2.coeffs
-
-        ha = ScalarHistory(tendency(theta_a), stepper.dt)
-        hb = ScalarHistory(tendency(theta_b), stepper.dt)
+        ha = ScalarHistory(temperature_tendency(c0, theta_a).coeffs, stepper.dt)
+        hb = ScalarHistory(temperature_tendency(c0, theta_b).coeffs, stepper.dt)
 
     def gap() -> float:
-        return norm_h(SpectralField(g, SIN, theta_a.coeffs - theta_b.coeffs)) ** 2
+        return norm_h(theta_a - theta_b) ** 2
 
     times = [truth.time]
     vals = [gap()]

@@ -52,7 +52,6 @@ __all__ = [
     "cap_decay_coefficient",
     "GronwallCertificate",
     "gronwall_certify",
-    "absorbing_ball_report",
 ]
 
 
@@ -367,26 +366,3 @@ def gronwall_certify(
         consistent=consistent,
     )
 
-
-def absorbing_ball_report(
-    report: BoundsReport,
-    u_h_norms: Sequence[float],
-    theta_h_norms: Sequence[float],
-) -> dict:
-    """Informational comparison of measured norms with the a-priori ball.
-
-    The generic constant hidden in the ball radii is unknown, so this is
-    reported, never asserted.
-    """
-    ub = 2.0 * math.sqrt(report.L) / (report.nu * math.sqrt(report.lambda1))
-    tb = 2.0 * math.sqrt(report.L)
-    mu_u = float(np.max(u_h_norms)) if len(u_h_norms) else 0.0
-    mu_t = float(np.max(theta_h_norms)) if len(theta_h_norms) else 0.0
-    return {
-        "u_h_max": mu_u,
-        "u_h_bound": ub,
-        "u_within": mu_u <= ub,
-        "theta_h_max": mu_t,
-        "theta_h_bound": tb,
-        "theta_within": mu_t <= tb,
-    }

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .spectral import (
     COS,
     SIN,
@@ -40,7 +38,7 @@ __all__ = [
     "Forcing",
     "advection_velocity",
     "advection_scalar",
-    "buoyancy",
+    "temperature_tendency",
     "explicit_rhs",
     "rhs_truth",
 ]
@@ -128,11 +126,9 @@ def advection_scalar(carrier: VectorField, scalar: SpectralField) -> SpectralFie
     return dealias(analyze(carrier.grid, c1 * dx + c2 * dy, SIN))
 
 
-def buoyancy(theta: SpectralField) -> VectorField:
-    """P[theta e2]: vertical buoyancy force, projected divergence-free."""
-    return leray_project(
-        VectorField(SpectralField.zeros(theta.grid, COS), theta)
-    )
+def temperature_tendency(u: VectorField, theta: SpectralField) -> SpectralField:
+    """-(u.grad)theta + u2: the explicit temperature tendency (no diffusion)."""
+    return u.u2 - advection_scalar(u, theta)
 
 
 def explicit_rhs(
@@ -145,20 +141,13 @@ def explicit_rhs(
     """
     u, th = s.velocity, s.temperature
     adv = advection_velocity(u, u)
-    b1 = -adv.u1.coeffs
-    b2 = -adv.u2.coeffs + th.coeffs
-    sc = -advection_scalar(u, th).coeffs + u.u2.coeffs
+    vec = VectorField(-adv.u1, th - adv.u2)
+    sc = temperature_tendency(u, th)
     if forcing is not None:
         fu, ft = forcing(s.time)
-        _require_same_grid(fu.grid, s.grid)
-        b1 = b1 + fu.u1.coeffs
-        b2 = b2 + fu.u2.coeffs
-        sc = sc + ft.coeffs
-    g = s.grid
-    vec = leray_project(
-        VectorField(SpectralField(g, COS, b1), SpectralField(g, SIN, b2))
-    )
-    return vec, SpectralField(g, SIN, sc)
+        vec = vec + fu
+        sc = sc + ft
+    return leray_project(vec), sc
 
 
 def rhs_truth(
@@ -166,12 +155,5 @@ def rhs_truth(
 ) -> Tuple[VectorField, SpectralField]:
     """Full tendency of the reference system at the state's instant."""
     vec, sc = explicit_rhs(s, p, forcing)
-    g = s.grid
-    lam = g.lam
-    return (
-        VectorField(
-            SpectralField(g, COS, vec.u1.coeffs - p.nu * lam * s.velocity.u1.coeffs),
-            SpectralField(g, SIN, vec.u2.coeffs - p.nu * lam * s.velocity.u2.coeffs),
-        ),
-        SpectralField(g, SIN, sc.coeffs - p.kappa * lam * s.temperature.coeffs),
-    )
+    lam = s.grid.lam
+    return vec - s.velocity * (p.nu * lam), sc - s.temperature * (p.kappa * lam)

@@ -224,19 +224,13 @@ def _shell_solenoidal(
     ring = (np.abs(np.sqrt(grid.lam) - k_center) <= 0.35 * k_center) & grid.dealias_mask
     if not ring.any():
         return None
-    shape = (grid.nx, grid.ny + 1)
-    c1 = analyze(grid, rng.standard_normal(shape), COS).coeffs * ring
-    c2 = analyze(grid, rng.standard_normal(shape), SIN).coeffs * ring
-    w = leray_project(
-        VectorField(SpectralField(grid, COS, c1), SpectralField(grid, SIN, c2))
-    )
+    c1 = analyze(grid, rng.standard_normal(grid.shape), COS)
+    c2 = analyze(grid, rng.standard_normal(grid.shape), SIN)
+    w = leray_project(VectorField(c1, c2) * ring)
     n = norm_h(w)
     if n == 0.0:
         return None
-    return VectorField(
-        SpectralField(grid, COS, w.u1.coeffs / n),
-        SpectralField(grid, SIN, w.u2.coeffs / n),
-    )
+    return w / n
 
 
 def approximation_samples(
@@ -286,15 +280,9 @@ def estimate_approximation_constant(
     draw: for one-term kinds the max of |P(w - I_h w)| / (h |w|_V); for
     the nodal kind the max root of the two-term quadratic in c0^2.
     """
-    g = spec.grid
     worst = 0.0
     for w in approximation_samples(spec, sample_count, rng, decay_scale):
-        d = observe(w, spec)
-        diff = VectorField(
-            SpectralField(g, COS, w.u1.coeffs - d.u1.coeffs),
-            SpectralField(g, SIN, w.u2.coeffs - d.u2.coeffs),
-        )
-        err = norm_h(leray_project(diff))
+        err = norm_h(leray_project(w - observe(w, spec)))
         if spec.uses_two_term_bound:
             a = 0.5 * spec.h**2 * norm_v(w) ** 2
             b = 0.25 * spec.h**4 * norm_laplacian(w) ** 2

@@ -30,6 +30,17 @@ Collocation points are x_i = i L / nx and y_j = j / ny (walls included).
 A velocity field pairs a cos-parity u1 with a sin-parity u2, so the
 stress-free wall conditions (u2 = 0 and du1/dy = 0 at y = 0, 1) hold
 structurally, as does theta = 0 for sin-parity scalars.
+
+The parity layout of a velocity lives here: fields carry their own
+linear arithmetic, so combining fields elsewhere never names a parity;
+only code that builds fields from raw coefficient arrays does.
+Arithmetic is linear on the coefficients: a + b, a - b and -a combine
+fields of one grid and parity (a VectorField componentwise), and a * s,
+s * a and a / s scale by a number or a broadcastable array.  Every
+result goes through the constructor, so it is a new frozen field with
+clean sine columns.  Combining different grids or parities raises
+ValueError; a field times a field, or a field plus anything but a like
+field, raises TypeError.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ __all__ = [
     "derivative_x",
     "derivative_y",
     "dealias",
-    "divergence",
     "leray_project",
     "inner_h",
     "norm_h",
@@ -169,6 +179,47 @@ class SpectralField:
     def zeros(cls, grid: Grid, parity: str) -> "SpectralField":
         return cls(grid, parity, np.zeros(grid.shape, dtype=np.complex128))
 
+    # numpy defers its binary operators to these, so that array * field and
+    # np.float64 * field scale the field instead of building object arrays
+    __array_ufunc__ = None
+
+    def _check_like(self, other: "SpectralField") -> None:
+        if other.grid != self.grid or other.parity != self.parity:
+            raise ValueError(
+                f"cannot combine a {self.parity} field on {self.grid}"
+                f" with a {other.parity} field on {other.grid}"
+            )
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        if not isinstance(other, SpectralField):
+            return NotImplemented
+        self._check_like(other)
+        return SpectralField(self.grid, self.parity, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        if not isinstance(other, SpectralField):
+            return NotImplemented
+        self._check_like(other)
+        return SpectralField(self.grid, self.parity, self.coeffs - other.coeffs)
+
+    def __neg__(self) -> "SpectralField":
+        return SpectralField(self.grid, self.parity, -self.coeffs)
+
+    def __mul__(self, scale) -> "SpectralField":
+        if _is_field(scale):
+            return NotImplemented
+        return SpectralField(self.grid, self.parity, self.coeffs * scale)
+
+    def __rmul__(self, scale) -> "SpectralField":
+        if _is_field(scale):
+            return NotImplemented
+        return SpectralField(self.grid, self.parity, scale * self.coeffs)
+
+    def __truediv__(self, scale) -> "SpectralField":
+        if _is_field(scale):
+            return NotImplemented
+        return SpectralField(self.grid, self.parity, self.coeffs / scale)
+
 
 @dataclass(frozen=True)
 class VectorField:
@@ -191,8 +242,42 @@ class VectorField:
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(SpectralField.zeros(grid, COS), SpectralField.zeros(grid, SIN))
 
+    __array_ufunc__ = None
+
+    def __add__(self, other: "VectorField") -> "VectorField":
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return VectorField(self.u1 + other.u1, self.u2 + other.u2)
+
+    def __sub__(self, other: "VectorField") -> "VectorField":
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return VectorField(self.u1 - other.u1, self.u2 - other.u2)
+
+    def __neg__(self) -> "VectorField":
+        return VectorField(-self.u1, -self.u2)
+
+    def __mul__(self, scale) -> "VectorField":
+        if _is_field(scale):
+            return NotImplemented
+        return VectorField(self.u1 * scale, self.u2 * scale)
+
+    def __rmul__(self, scale) -> "VectorField":
+        if _is_field(scale):
+            return NotImplemented
+        return VectorField(scale * self.u1, scale * self.u2)
+
+    def __truediv__(self, scale) -> "VectorField":
+        if _is_field(scale):
+            return NotImplemented
+        return VectorField(self.u1 / scale, self.u2 / scale)
+
 
 Field = Union[SpectralField, VectorField]
+
+
+def _is_field(x) -> bool:
+    return isinstance(x, (SpectralField, VectorField))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +375,7 @@ def analyze(
 
 
 def derivative_x(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.parity, f.coeffs * (1j * f.grid.kx[:, None]))
+    return f * (1j * f.grid.kx[:, None])
 
 
 def derivative_y(f: SpectralField) -> SpectralField:
@@ -306,16 +391,13 @@ def derivative_y(f: SpectralField) -> SpectralField:
 
 
 def dealias(f: Field) -> Field:
-    if isinstance(f, VectorField):
-        return VectorField(dealias(f.u1), dealias(f.u2))
-    return SpectralField(f.grid, f.parity, f.coeffs * f.grid.dealias_mask)
+    return f * f.grid.dealias_mask
 
 
-def divergence(u: VectorField) -> SpectralField:
-    """du1/dx + du2/dy, a cos-parity scalar; zero per mode when solenoidal."""
+def _divergence_coeffs(u: VectorField) -> np.ndarray:
+    """du1/dx + du2/dy: cos-parity coefficients, zero per mode when solenoidal."""
     g = u.grid
-    d = 1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs
-    return SpectralField(g, COS, d)
+    return 1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -329,8 +411,7 @@ def leray_project(u: VectorField) -> VectorField:
     otherwise generate).
     """
     g = u.grid
-    d = 1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs
-    phi = -d / _gauged_lam(g)
+    phi = -_divergence_coeffs(u) / _gauged_lam(g)
     p1 = u.u1.coeffs - 1j * g.kx[:, None] * phi
     p2 = u.u2.coeffs + g.ky[None, :] * phi
     p1[0, 0] = 0.0
@@ -424,11 +505,11 @@ def random_scalar(
     if decay_scale is None:
         decay_scale = 0.25 * float(np.sqrt(grid.lam[grid.dealias_mask].max()))
     env = np.exp(-grid.lam / decay_scale**2) * grid.dealias_mask
-    f = SpectralField(grid, parity, f.coeffs * env)
+    f = f * env
     cur = norm_h(f)
     if cur == 0.0:
         raise ValueError("degenerate random sample (zero norm)")
-    return SpectralField(grid, parity, f.coeffs * (norm / cur))
+    return f * (norm / cur)
 
 
 def random_solenoidal(
@@ -446,11 +527,7 @@ def random_solenoidal(
     cur = norm_h(u)
     if cur == 0.0:
         raise ValueError("degenerate random sample (zero norm after projection)")
-    s = norm / cur
-    return VectorField(
-        SpectralField(grid, COS, u.u1.coeffs * s),
-        SpectralField(grid, SIN, u.u2.coeffs * s),
-    )
+    return u * (norm / cur)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +561,7 @@ def solenoidality_defect(u: VectorField) -> float:
     scale = max(float(t1.max()), float(t2.max()))
     if scale == 0.0:
         return 0.0
-    d = np.abs(1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs)
-    return float(d.max()) / scale
+    return float(np.abs(_divergence_coeffs(u)).max()) / scale
 
 
 def reality_defect(f: SpectralField) -> float:

@@ -16,11 +16,11 @@ here).  Temperature is never nudged; the scalar update has no such hook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
+from .model import Forcing, PhysicalParams, State, explicit_rhs, temperature_tendency
 from .spectral import (
     COS,
     SIN,
@@ -153,6 +153,25 @@ def _check_finite(
     raise BlowUpError(time, label, fields[k], mode, peak, last_time)
 
 
+def _ab2_weights(dt: float, prev_dt: float) -> Tuple[float, float]:
+    """Adams-Bashforth-2 weights of the current and the previous tendency."""
+    r = dt / prev_dt
+    return 1.0 + 0.5 * r, -0.5 * r
+
+
+def _diffusion_factors(
+    diffusivity: float, dt: float, lam: np.ndarray, crank: bool
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
+    """(num, den) of the implicit diffusion update c_new = (num c + dt x) / den.
+
+    Crank-Nicolson when crank is set, backward Euler otherwise.
+    """
+    if crank:
+        half = 0.5 * dt * lam
+        return 1.0 - diffusivity * half, 1.0 + diffusivity * half
+    return 1.0, 1.0 + diffusivity * dt * lam
+
+
 def step(
     s: State,
     p: PhysicalParams,
@@ -172,19 +191,15 @@ def step(
     # factors belong to the velocity pair (nu) and to theta (kappa)
     x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
     c = np.empty_like(x)
-    if cfg.scheme == "imex-cnab2" and history is not None:
-        r = dt / history.dt
-        x *= 1.0 + 0.5 * r
+    crank = cfg.scheme == "imex-cnab2" and history is not None
+    if crank:
+        w_new, w_old = _ab2_weights(dt, history.dt)
+        x *= w_new
         np.stack([history.e_u1, history.e_u2, history.e_th], out=c)
-        c *= -0.5 * r
+        c *= w_old
         x += c
-        half = 0.5 * dt * g.lam
-        num_u, num_t = 1.0 - p.nu * half, 1.0 - p.kappa * half
-        den_u, den_t = 1.0 + p.nu * half, 1.0 + p.kappa * half
-    else:
-        num_u = num_t = 1.0
-        den_u = 1.0 + p.nu * dt * g.lam
-        den_t = 1.0 + p.kappa * dt * g.lam
+    num_u, den_u = _diffusion_factors(p.nu, dt, g.lam, crank)
+    num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam, crank)
 
     np.stack(
         [s.velocity.u1.coeffs, s.velocity.u2.coeffs, s.temperature.coeffs], out=c
@@ -242,18 +257,13 @@ def step_scalar(
     g = theta.grid
     if dt is None:
         dt = cfg.dt
-    eth = -advection_scalar(carrier, theta).coeffs + carrier.u2.coeffs
+    eth = temperature_tendency(carrier, theta).coeffs
     crank = cfg.scheme == "imex-cnab2" and history is not None
+    xth = eth
     if crank:
-        r = dt / history.dt
-        xth = (1.0 + 0.5 * r) * eth - 0.5 * r * history.e_th
-        half = 0.5 * dt * g.lam
-        num = 1.0 - p.kappa * half
-        den = 1.0 + p.kappa * half
-    else:
-        xth = eth
-        num = 1.0
-        den = 1.0 + p.kappa * dt * g.lam
+        w_new, w_old = _ab2_weights(dt, history.dt)
+        xth = w_new * eth + w_old * history.e_th
+    num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
     c = hermitian_part((theta.coeffs * num + dt * xth) / den)
     _check_finite(c, ("theta",), time, time + dt, label)
     return SpectralField(g, SIN, c), ScalarHistory(eth, dt)

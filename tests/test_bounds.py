@@ -8,7 +8,6 @@ import pytest
 
 from benard_da.bounds import (
     GronwallCertificate,
-    absorbing_ball_report,
     cap_decay_coefficient,
     decay_coefficient_series,
     estimate_ladyzhenskaya_constant,
@@ -242,11 +241,3 @@ class TestDecayCoefficient:
         capped = cap_decay_coefficient([100.0, -1.0], nu=1.0, kappa=0.5, lambda1=4.0)
         assert capped[0] == 1.0
         assert capped[1] == -1.0
-
-    def test_absorbing_ball_report_shape(self):
-        r = uniform_bounds(1.0, 1.0, 4.0, 1.0)
-        rep = absorbing_ball_report(r, [1.0, 3.0], [0.5])
-        assert rep["u_h_bound"] == 4.0
-        assert rep["theta_h_bound"] == 4.0
-        assert rep["u_h_max"] == 3.0
-        assert rep["u_within"] and rep["theta_within"]

@@ -15,7 +15,6 @@ from benard_da.model import (
     State,
     advection_scalar,
     advection_velocity,
-    buoyancy,
     explicit_rhs,
     rhs_truth,
 )
@@ -107,12 +106,13 @@ class TestFixedPoint:
         expected = -params.kappa * np.pi**2 * th.coeffs
         assert np.abs(dth.coeffs - expected).max() < 1e-15
 
-    def test_buoyancy_matches_per_mode_projector(self, grid):
+    def test_buoyancy_matches_per_mode_projector(self, grid, params):
         # Independent oracle: 2x2 orthogonal projector complementing the
-        # gradient direction (i kx, ky) for one mode.
+        # gradient direction (i kx, ky) for one mode.  At u = 0 the velocity
+        # tendency is the buoyancy P[theta e2] alone.
         n, m = 3, 2
         th = real_mode(grid, "sin", n, m, amplitude=0.7)
-        b = buoyancy(th)
+        b, _ = explicit_rhs(State(VectorField.zeros(grid), th), params)
         # Pressure modes have cosine parity in y, so the gradient's second
         # component carries -ky.
         ky = grid.ky[m]
@@ -206,12 +206,13 @@ class TestOrthogonality:
         rhs = -inner_h(advection_scalar(u, b), a)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
-    def test_buoyancy_source_adjoint(self, grid):
-        # (P(theta e2), w) = (theta, w2) for solenoidal w.
+    def test_buoyancy_source_adjoint(self, grid, params):
+        # (P(theta e2), w) = (theta, w2) for solenoidal w; at u = 0 the
+        # velocity tendency is P(theta e2) alone.
         rng = np.random.default_rng(45)
         th = random_scalar(grid, rng, "sin")
         w = random_solenoidal(grid, rng)
-        b = buoyancy(th)
+        b, _ = explicit_rhs(State(VectorField.zeros(grid), th), params)
         lhs = inner_h(b.u1, w.u1) + inner_h(b.u2, w.u2)
         rhs = inner_h(th, w.u2)
         assert abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1.0)

@@ -387,3 +387,107 @@ class TestNormsAndStructure:
         g = sp.Grid(L=2.0, nx=32, ny=16)
         u = sp.random_solenoidal(g, np.random.default_rng(31))
         assert sp.solenoidality_defect(u) < 1e-12
+
+
+class TestFieldArithmetic:
+    """Field operators are the coefficient expressions, bit for bit."""
+
+    G = sp.Grid(L=2.0, nx=16, ny=8)
+
+    def _field(self, parity, seed, grid=None):
+        g = grid or self.G
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        return sp.SpectralField(g, parity, c)
+
+    def _vector(self, seed):
+        return sp.VectorField(self._field(sp.COS, seed), self._field(sp.SIN, seed + 1))
+
+    @staticmethod
+    def _cases(a, b, s, arr):
+        """(operator result, hand-built coefficients) for each operator."""
+        return [
+            (a + b, lambda x, y: x.coeffs + y.coeffs),
+            (a - b, lambda x, y: x.coeffs - y.coeffs),
+            (-a, lambda x, y: -x.coeffs),
+            (s * a, lambda x, y: s * x.coeffs),
+            (a * s, lambda x, y: x.coeffs * s),
+            (arr * a, lambda x, y: arr * x.coeffs),
+            (a / s, lambda x, y: x.coeffs / s),
+        ]
+
+    @pytest.mark.parametrize("parity", [sp.COS, sp.SIN])
+    def test_scalar_operators_match_coefficients(self, parity):
+        a, b = self._field(parity, 1), self._field(parity, 2)
+        arr = np.random.default_rng(3).standard_normal(self.G.shape)
+        for got, expr in self._cases(a, b, -0.37, arr):
+            want = sp.SpectralField(self.G, parity, expr(a, b))
+            assert isinstance(got, sp.SpectralField)
+            assert got.parity == parity and got.grid == self.G
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_vector_operators_are_componentwise(self):
+        u, w = self._vector(4), self._vector(6)
+        arr = np.random.default_rng(8).standard_normal(self.G.shape)
+        for got, expr in self._cases(u, w, 2.5, arr):
+            assert isinstance(got, sp.VectorField)
+            for name in ("u1", "u2"):
+                x, y = getattr(u, name), getattr(w, name)
+                want = sp.SpectralField(self.G, x.parity, expr(x, y))
+                assert getattr(got, name).coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_results_are_new_and_read_only(self):
+        a, b = self._field(sp.SIN, 9), self._field(sp.SIN, 10)
+        u, w = self._vector(11), self._vector(13)
+        before = [f.coeffs.copy() for f in (a, b, u.u1, u.u2, w.u1, w.u2)]
+        arr = np.ones(self.G.shape)
+        results = [f for f, _ in self._cases(a, b, 1.0, arr)]
+        for v, _ in self._cases(u, w, 1.0, arr):
+            results += [v.u1, v.u2]
+        for got in results:
+            assert not got.coeffs.flags.writeable
+            for f in (a, b, u.u1, u.u2, w.u1, w.u2):
+                assert got is not f
+                assert not np.shares_memory(got.coeffs, f.coeffs)
+        after = [f.coeffs for f in (a, b, u.u1, u.u2, w.u1, w.u2)]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+
+    def test_mismatched_space_raises_value_error(self):
+        other = sp.Grid(L=1.0, nx=16, ny=8)
+        c, s = self._field(sp.COS, 15), self._field(sp.SIN, 16)
+        c_other = self._field(sp.COS, 15, grid=other)
+        u = self._vector(17)
+        u_other = sp.VectorField(c_other, self._field(sp.SIN, 18, grid=other))
+        for bad in (
+            lambda: c + s,
+            lambda: c - s,
+            lambda: c + c_other,
+            lambda: c - c_other,
+            lambda: u + u_other,
+            lambda: u - u_other,
+        ):
+            with pytest.raises(ValueError):
+                bad()
+
+    def test_nonlinear_or_mixed_combinations_raise_type_error(self):
+        a, u = self._field(sp.COS, 19), self._vector(20)
+        for bad in (
+            lambda: a * a,
+            lambda: u * u,
+            lambda: a * u,
+            lambda: u * a,
+            lambda: a / a,
+            lambda: a + 1.0,
+            lambda: 1.0 + a,
+            lambda: a - np.ones(self.G.shape),
+            lambda: u + a,
+            lambda: a + u,
+        ):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_numpy_left_operands_return_fields(self):
+        a, u = self._field(sp.SIN, 22), self._vector(23)
+        for left in (np.ones(self.G.shape), np.float64(2)):
+            assert isinstance(left * a, sp.SpectralField)
+            assert isinstance(left * u, sp.VectorField)
