@@ -294,7 +294,8 @@ class ObservationRecord:
 
     Row k holds the data observations.measure() gave at step k: modal
     records store the complex coefficients of the observed modes at
-    step-end times; volume/nodal records store cell averages/samples at
+    step-end times, in the order of the half-layout mask (stored rows
+    n = 0 .. nx/2); volume/nodal records store cell averages/samples at
     step-start times.  Every step is recorded, whatever mu.  Replaying
     against the same configuration reproduces the live assimilated
     trajectory exactly.

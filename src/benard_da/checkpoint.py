@@ -3,9 +3,11 @@
 Layout: an 8-byte magic string, a uint32 format version, grid dims and
 dealias fraction, the physical parameters, the state time, the seed, and
 a history flag, followed by the coefficient arrays (u1, u2, theta) as
-little-endian complex pairs of 64-bit floats in declared order.  When the
-flag is set, the stepper history (three tendency arrays and its dt)
-follows, so a resumed run reproduces an uninterrupted one bit for bit.
+little-endian complex pairs of 64-bit floats in declared order, each the
+rows n = 0 .. nx/2 of the half spectrum, shape (nx/2 + 1, ny + 1).  When
+the flag is set, the stepper history (three tendency arrays of that shape
+and its dt) follows, so a resumed run reproduces an uninterrupted one bit
+for bit.  Version 1 files held all nx rows; they are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .stepping import History
 __all__ = ["MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"BENARDDA"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<8sIII7dqB")  # magic, version, nx, ny, floats, seed, flag
 
@@ -104,7 +106,8 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise ValueError(f"checkpoint format version {version}, expected {VERSION}")
     grid = Grid(L, nx, ny, dealias_fraction)
-    count = nx * (ny + 1)
+    shape = grid.coeff_shape
+    count = shape[0] * shape[1]
     nbytes = 16 * count
     expected = _HEADER.size + 3 * nbytes + (3 * nbytes + 8 if flag else 0)
     if len(blob) != expected:
@@ -113,7 +116,7 @@ def load_checkpoint(path) -> Checkpoint:
     def arr(i: int) -> np.ndarray:
         start = _HEADER.size + i * nbytes
         flat = np.frombuffer(blob, dtype="<c16", count=count, offset=start)
-        return flat.reshape(nx, ny + 1).copy()
+        return flat.reshape(shape).copy()
 
     state = State(
         VectorField(SpectralField(grid, COS, arr(0)), SpectralField(grid, SIN, arr(1))),

@@ -40,7 +40,7 @@ from .bounds import (
     with_thresholds,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, dumps, load
+from .config import ConfigError, RunConfig, load
 from .model import State
 from .observations import estimate_approximation_constant
 from .spectral import norm_laplacian, norm_v, stokes_smallest_eigenvalue

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import PhysicalParams, State, rhs_truth
+from .model import Forcing, PhysicalParams, State, explicit_rhs
 from .spectral import (
     COS,
     SIN,
@@ -38,6 +38,7 @@ from .stepping import StepperConfig, integrate
 
 __all__ = [
     "ManufacturedCase",
+    "rhs_truth",
     "default_case",
     "semidiscrete_residual",
     "temporal_errors",
@@ -139,6 +140,15 @@ class ManufacturedCase:
             norm_h(s.velocity - exact.velocity),
             norm_h(s.temperature - exact.temperature),
         )
+
+
+def rhs_truth(
+    s: State, p: PhysicalParams, forcing: Optional[Forcing] = None
+) -> Tuple[VectorField, SpectralField]:
+    """Full tendency of the reference system at the state's instant."""
+    vec, sc = explicit_rhs(s, p, forcing)
+    lam = s.grid.lam
+    return vec - s.velocity * (p.nu * lam), sc - s.temperature * (p.kappa * lam)
 
 
 def default_case(grid: Grid = None, nu: float = 0.05, kappa: float = 0.05) -> ManufacturedCase:

@@ -40,7 +40,6 @@ __all__ = [
     "advection_scalar",
     "temperature_tendency",
     "explicit_rhs",
-    "rhs_truth",
 ]
 
 
@@ -63,9 +62,10 @@ class PhysicalParams:
             raise ValueError("h must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
-    """Solenoidal velocity plus sine-parity temperature at one instant."""
+    """Solenoidal velocity plus sine-parity temperature at one instant,
+    compared by identity."""
 
     velocity: VectorField
     temperature: SpectralField
@@ -148,12 +148,3 @@ def explicit_rhs(
         vec = vec + fu
         sc = sc + ft
     return leray_project(vec), sc
-
-
-def rhs_truth(
-    s: State, p: PhysicalParams, forcing: Optional[Forcing] = None
-) -> Tuple[VectorField, SpectralField]:
-    """Full tendency of the reference system at the state's instant."""
-    vec, sc = explicit_rhs(s, p, forcing)
-    lam = s.grid.lam
-    return vec - s.velocity * (p.nu * lam), sc - s.temperature * (p.kappa * lam)

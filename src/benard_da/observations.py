@@ -126,9 +126,10 @@ def cell_partition(spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:
 def _cell_operators(spec: InterpolantSpec):
     """Closed-form basis integrals over cells and cell-center samples.
 
-    Ix[i, n] = integral of exp(i kx_n x) over x-cell i, and likewise
-    Iyc/Iys for cos(m pi y)/sin(m pi y) over y-cells; Ex/Eyc/Eys are the
-    basis values at cell centers; dx, dy are the cell widths.
+    Ix[i, n] = integral of exp(i kx_n x) over x-cell i for the stored rows
+    n = 0 .. nx/2, and likewise Iyc/Iys for cos(m pi y)/sin(m pi y) over
+    y-cells; Ex/Eyc/Eys are the basis values at cell centers; dx, dy are
+    the cell widths.
     """
     g = spec.grid
     xe, ye = cell_partition(spec)
@@ -160,14 +161,16 @@ def _cell_operators(spec: InterpolantSpec):
 def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
     """Cell averages (volume) or cell-center samples (nodal), real."""
     ix, iyc, iys, ex, eyc, eys, dx, dy = _cell_operators(spec)
+    # each row n = 1 .. nx/2 - 1 stands for n and -n, so it counts twice
+    w = spec.grid.multiplicity
     if spec.kind == VOLUME:
         iy = iyc if f.parity == COS else iys
-        values = (ix / dx) @ f.coeffs @ (iy / dy).T
+        values = (ix / dx * w) @ f.coeffs @ (iy / dy).T
     else:
         ey = eyc if f.parity == COS else eys
-        values = ex @ f.coeffs @ ey.T
-    # Cell values of a real field are real; dropping the round-off imaginary
-    # dust here keeps recorded observation streams exactly replayable.
+        values = (ex * w) @ f.coeffs @ ey.T
+    # the mirror rows -n add the conjugate of the rows n, so the value of
+    # the real field is the real part of this half sum
     return values.real
 
 
@@ -176,7 +179,7 @@ def _expand(data: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralFie
     spectral coefficients of the piecewise-constant extension of the cells."""
     g = spec.grid
     if spec.kind == MODAL:
-        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs = np.zeros(g.coeff_shape, dtype=complex)
         coeffs[modal_projection_mask(spec)] = data
     else:
         ix, iyc, iys = _cell_operators(spec)[:3]
@@ -189,7 +192,8 @@ def _expand(data: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralFie
 def measure(u: VectorField, spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:
     """The finite observation data of a velocity field, one array per component.
 
-    Modal: the complex coefficients at the retained modes, in mask order.
+    Modal: the complex coefficients at the retained modes, in mask order
+    (row-major over the stored rows n = 0 .. nx/2).
     Volume: the real cell averages; nodal: the real cell-center values,
     both of shape (cells in x, cells in y).  Scalar fields are refused: the
     assimilation uses velocity observations only, and this interface is

@@ -6,25 +6,26 @@ fields carry one of two parities in y:
     cos: f(x, y) = sum_{n, m} c[n, m] exp(i 2 pi n x / L) cos(m pi y)
     sin: f(x, y) = sum_{n, m} c[n, m] exp(i 2 pi n x / L) sin(m pi y)
 
-This module is the single home of the transform conventions.  Coefficients
-are complex arrays of shape (nx, ny + 1); the x index follows numpy fft
-order (n = 0 .. nx/2 - 1, -nx/2 .. -1), the y index is the wavenumber m
-itself.  Synthesis is the plain sum above, with no hidden scale factors.
-Real fields satisfy c[-n, m] = conj(c[n, m]).  Sine fields keep the m = 0
-and m = ny columns at zero: sin(0) vanishes identically and sin(ny pi y)
-vanishes at every collocation point, so neither is representable; dropping
-them is the Galerkin truncation onto the representable band.
+This module is the single home of the transform conventions.  A real
+field needs only the rows n = 0 .. nx/2 of its x spectrum, since
+c[-n, m] = conj(c[n, m]): coefficients are complex (nx/2 + 1, ny + 1)
+arrays, the rows of a real FFT in x, and the y index is the wavenumber m
+itself.  Row n stands for the pair n, -n, so in the sum above and in
+Parseval sums the rows 1 .. nx/2 - 1 count twice (Grid.multiplicity);
+there are no other hidden scale factors.  Reality is a property of the
+layout: the constructor holds the self-conjugate rows n = 0 and nx/2
+real, and no operation needs a projection to keep a field real.  Sine
+fields keep the m = 0 and m = ny columns at zero: sin(0) vanishes
+identically and sin(ny pi y) vanishes at every collocation point, so
+neither is representable; dropping them is the Galerkin truncation onto
+the representable band.
 
-Reality has one convention, the Hermitian fold.  Folding maps coefficients
-to the rows n = 0 .. nx/2 of their Hermitian part 0.5 (c[n] + conj(c[-n])),
-which fixes the real field they synthesize to; unfolding mirrors such rows
-back to the full layout.  synthesize() folds and then runs a real inverse
-FFT in x; analyze() runs a real FFT in x and unfolds, so its coefficients
-are exactly Hermitian; hermitian_part() is unfold(fold(c)).  Both
-transforms take a batch: synthesize() a sequence of fields of either
-parity (one DCT-I for the cos group, one DST-I for the sin group, one
-inverse real FFT for all), analyze() a (K, nx, ny + 1) stack of values of
-one parity.  A batch gives the same bits as the same fields one by one.
+synthesize() copies the rows into one buffer for a real inverse FFT in
+x; analyze() keeps the rows of a real FFT in x.  Both transforms take a
+batch: synthesize() a sequence of fields of either parity (one DCT-I for
+the cos group, one DST-I for the sin group, one inverse real FFT for
+all), analyze() a (K, nx, ny + 1) stack of values of one parity.  A
+batch gives the same bits as the same fields one by one.
 
 Collocation points are x_i = i L / nx and y_j = j / ny (walls included).
 A velocity field pairs a cos-parity u1 with a sin-parity u2, so the
@@ -72,8 +73,6 @@ __all__ = [
     "random_solenoidal",
     "stokes_smallest_eigenvalue",
     "solenoidality_defect",
-    "reality_defect",
-    "hermitian_part",
 ]
 
 COS = "cos"
@@ -91,6 +90,9 @@ class Grid:
     nx and ny must be powers of two (transform efficiency contract) and at
     least 8.  dealias_fraction sets the retained band for quadratic products:
     |n| <= floor(dealias_fraction * nx / 2), m <= floor(dealias_fraction * ny).
+    shape is the collocation shape (nx, ny + 1), coeff_shape the coefficient
+    shape (nx/2 + 1, ny + 1); kx, lam and dealias_mask follow the
+    coefficient rows n = 0 .. nx/2.
     """
 
     L: float
@@ -105,6 +107,7 @@ class Grid:
     ky: np.ndarray = field(init=False, repr=False, compare=False)
     lam: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     quad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -126,17 +129,21 @@ class Grid:
         nx, ny, L = self.nx, self.ny, self.L
         put("x", np.arange(nx) * (L / nx))
         put("y", np.arange(ny + 1) / ny)
-        put("kx", 2.0 * np.pi * np.fft.fftfreq(nx, d=1.0 / nx) / L)
+        n = np.fft.rfftfreq(nx, d=1.0 / nx)
+        put("kx", 2.0 * np.pi * n / L)
         put("ky", np.pi * np.arange(ny + 1).astype(float))
         lam = self.kx[:, None] ** 2 + self.ky[None, :] ** 2
         put("lam", lam)
         w = np.full(ny + 1, L / 2.0)
         w[0] = L
         put("weight", w)
+        # how many rows of the full spectrum each stored row stands for
+        mult = np.full(nx // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        put("multiplicity", mult)
         ncut = int(np.floor(self.dealias_fraction * nx / 2))
         mcut = int(np.floor(self.dealias_fraction * ny))
-        nidx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx)).astype(int)
-        mask = (nidx[:, None] <= ncut) & (np.arange(ny + 1)[None, :] <= mcut)
+        mask = (n[:, None] <= ncut) & (np.arange(ny + 1)[None, :] <= mcut)
         put("dealias_mask", mask)
         wy = np.full(ny + 1, 1.0 / ny)
         wy[0] *= 0.5
@@ -147,14 +154,19 @@ class Grid:
     def shape(self) -> tuple:
         return (self.nx, self.ny + 1)
 
+    @property
+    def coeff_shape(self) -> tuple:
+        return (self.nx // 2 + 1, self.ny + 1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """One real scalar field, stored as parity-tagged complex coefficients.
 
-    Construction copies the coefficients, zeroes the structurally absent
+    Construction copies the coefficients, zeroes the imaginary part of
+    the self-conjugate rows (n = 0 and nx/2) and the structurally absent
     sine columns (m = 0 and m = ny), and freezes the array.  Operations
-    return new fields; instances are immutable values.
+    return new fields; instances are immutable values compared by identity.
     """
 
     grid: Grid
@@ -165,10 +177,13 @@ class SpectralField:
         if self.parity not in (COS, SIN):
             raise ValueError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
         c = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if c.shape != self.grid.shape:
+        if c.shape != self.grid.coeff_shape:
             raise ValueError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {c.shape} does not match grid"
+                f" {self.grid.coeff_shape}"
             )
+        c.imag[0] = 0.0
+        c.imag[-1] = 0.0
         if self.parity == SIN:
             c[:, 0] = 0.0
             c[:, -1] = 0.0
@@ -177,7 +192,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid, parity: str) -> "SpectralField":
-        return cls(grid, parity, np.zeros(grid.shape, dtype=np.complex128))
+        return cls(grid, parity, np.zeros(grid.coeff_shape, dtype=np.complex128))
 
     # numpy defers its binary operators to these, so that array * field and
     # np.float64 * field scale the field instead of building object arrays
@@ -221,7 +236,7 @@ class SpectralField:
         return SpectralField(self.grid, self.parity, self.coeffs / scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
     """Velocity-like pair: cos-parity u1, sin-parity u2, on one grid."""
 
@@ -284,38 +299,13 @@ def _is_field(x) -> bool:
 # transforms
 
 
-def _fold(c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows n = 0 .. nx/2 of the Hermitian part 0.5 (c[n] + conj(c[-n]))."""
-    h = c.shape[-2] // 2
-    if out is None:
-        out = np.empty(c.shape[:-2] + (h + 1, c.shape[-1]), dtype=np.complex128)
-    out[..., 0, :] = c[..., 0, :]
-    out[..., 1:, :] = c[..., : h - 1 : -1, :]
-    np.conjugate(out, out=out)
-    out += c[..., : h + 1, :]
-    out *= 0.5
-    return out
-
-
-def _unfold(f: np.ndarray, nx: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full coefficients c[-n] = conj(c[n]) from the rows n = 0 .. nx/2."""
-    h = nx // 2
-    if out is None:
-        out = np.empty(f.shape[:-2] + (nx, f.shape[-1]), dtype=np.complex128)
-    out[..., : h + 1, :] = f
-    np.conjugate(f[..., h - 1 : 0 : -1, :], out=out[..., h + 1 :, :])
-    return out
-
-
 def synthesize(
     fields: Union[SpectralField, Sequence[SpectralField]]
 ) -> np.ndarray:
     """Collocation values on the (nx, ny + 1) grid, walls included.
 
     One field gives an (nx, ny + 1) array; a sequence of fields on one grid
-    gives a (K, nx, ny + 1) stack in the order given.  Only the Hermitian
-    part of the coefficients reaches the values, so any input synthesizes
-    to the real part of the plain sum.
+    gives a (K, nx, ny + 1) stack in the order given.
     """
     single = isinstance(fields, SpectralField)
     group = [fields] if single else list(fields)
@@ -325,9 +315,7 @@ def synthesize(
     # cos fields first, so that each y transform runs on one contiguous block
     order = sorted(range(len(group)), key=lambda i: group[i].parity != COS)
     ncos = sum(1 for f in group if f.parity == COS)
-    half = np.empty((len(group), g.nx // 2 + 1, g.ny + 1), dtype=np.complex128)
-    for j, i in enumerate(order):
-        _fold(group[i].coeffs, out=half[j])
+    half = np.stack([group[i].coeffs for i in order])
     # DCT-I and DST-I weight the interior columns twice; halving them gives
     # the plain sums (sine fields have zero end columns, so one scaling
     # serves both parities).
@@ -348,8 +336,8 @@ def analyze(
     """Forward transform of real collocation values; exact on the full band.
 
     (nx, ny + 1) values give one field, a (K, nx, ny + 1) stack gives a
-    list of K fields of the one parity.  The coefficients are mirrored from
-    a real FFT, so they satisfy c[-n, m] = conj(c[n, m]) exactly.
+    list of K fields of the one parity, whose coefficients are the rows of
+    a real FFT in x.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[-2:] != grid.shape or v.ndim not in (2, 3):
@@ -364,7 +352,7 @@ def analyze(
         t = np.zeros_like(v)
         t[..., 1:-1] = scipy.fft.dst(v[..., 1:-1], type=1, axis=-1)
     t *= 1.0 / grid.ny
-    c = _unfold(scipy.fft.rfft(t, axis=-2, norm="forward"), grid.nx)
+    c = scipy.fft.rfft(t, axis=-2, norm="forward")
     if c.ndim == 2:
         return SpectralField(grid, parity, c)
     return [SpectralField(grid, parity, ci) for ci in c]
@@ -431,8 +419,17 @@ def _gauged_lam(g: Grid) -> np.ndarray:
 # inner products and norms (Parseval; exact on coefficients)
 
 
+@lru_cache(maxsize=32)
+def _parseval_weights(g: Grid, power: int) -> np.ndarray:
+    """Read-only weights lam^power of the Parseval sums, each row counted
+    as often as it appears in the full spectrum."""
+    w = g.multiplicity[:, None] * g.weight[None, :] * g.lam**power
+    w.flags.writeable = False
+    return w
+
+
 def _inner_scalar(f: SpectralField, q: SpectralField, power: int) -> float:
-    w = f.grid.weight[None, :] * f.grid.lam ** power if power else f.grid.weight[None, :]
+    w = _parseval_weights(f.grid, power)
     return float(np.sum((f.coeffs * np.conj(q.coeffs)).real * w))
 
 
@@ -483,13 +480,12 @@ def real_mode(
     grid: Grid, parity: str, n: int, m: int, amplitude: float = 1.0, phase: float = 0.0
 ) -> SpectralField:
     """amplitude * Re[exp(i(2 pi n x / L + phase))] * basis_m(y), as a field."""
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    if n == 0:
-        c[0, m] = amplitude * np.cos(phase)
+    c = np.zeros(grid.coeff_shape, dtype=np.complex128)
+    if n in (0, grid.nx // 2, -grid.nx // 2):
+        c[abs(n), m] = amplitude * np.cos(phase)
     else:
         half = 0.5 * amplitude * np.exp(1j * phase)
-        c[n % grid.nx, m] = half
-        c[(-n) % grid.nx, m] = np.conj(half)
+        c[abs(n), m] = half if n > 0 else np.conj(half)
     return SpectralField(grid, parity, c)
 
 
@@ -562,25 +558,3 @@ def solenoidality_defect(u: VectorField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.abs(_divergence_coeffs(u)).max()) / scale
-
-
-def reality_defect(f: SpectralField) -> float:
-    """max |c[n] - conj(c[-n])| relative to the largest coefficient."""
-    c = f.coeffs
-    scale = float(np.abs(c).max())
-    if scale == 0.0:
-        return 0.0
-    flipped = np.conj(np.roll(c[::-1], 1, axis=0))
-    return float(np.abs(c - flipped).max()) / scale
-
-
-def hermitian_part(
-    coeffs: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Projection onto real-field coefficients: c[-n, m] = conj(c[n, m]).
-
-    Orthogonal in every mode-diagonal norm, so it never increases |.|_H
-    or |.|_V and maps exactly symmetric input to itself bit for bit.
-    Accepts a leading stack axis; out may be coeffs itself.
-    """
-    return _unfold(_fold(coeffs), coeffs.shape[-2], out)

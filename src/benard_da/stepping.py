@@ -26,7 +26,6 @@ from .spectral import (
     SIN,
     SpectralField,
     VectorField,
-    hermitian_part,
     synthesize,
 )
 
@@ -108,8 +107,9 @@ class BlowUpError(RuntimeError):
     """A coefficient left the finite range.
 
     Carries the failing time, the trajectory label, the field and the
-    (n, m) mode of the largest coefficient, its magnitude, and the time of
-    the last finite state.
+    (n, m) mode of the largest coefficient (the stored row n in
+    0 .. nx/2, which stands for the pair n, -n), its magnitude, and the
+    time of the last finite state.
     """
 
     def __init__(
@@ -147,10 +147,8 @@ def _check_finite(
     peak = float(mag.flat[i])
     if peak <= BLOWUP_THRESHOLD:
         return
-    nx, ny1 = coeffs.shape[-2:]
-    k, n, m = np.unravel_index(i, (len(fields), nx, ny1))
-    mode = (int(n) if n < nx // 2 else int(n) - nx, int(m))
-    raise BlowUpError(time, label, fields[k], mode, peak, last_time)
+    k, n, m = np.unravel_index(i, (len(fields),) + coeffs.shape[-2:])
+    raise BlowUpError(time, label, fields[k], (int(n), int(m)), peak, last_time)
 
 
 def _ab2_weights(dt: float, prev_dt: float) -> Tuple[float, float]:
@@ -187,8 +185,8 @@ def step(
     if dt is None:
         dt = cfg.dt
     vec, sc = explicit_rhs(s, p, forcing)
-    # u1, u2 and theta advance as one (3, nx, ny + 1) stack; the diffusion
-    # factors belong to the velocity pair (nu) and to theta (kappa)
+    # u1, u2 and theta advance as one (3, nx/2 + 1, ny + 1) stack; the
+    # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
     x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
     c = np.empty_like(x)
     crank = cfg.scheme == "imex-cnab2" and history is not None
@@ -222,13 +220,8 @@ def step(
             c[0] += dt * nudging.mu * nudging.data1
             c[1] += dt * nudging.mu * nudging.data2
 
-    # Project out conjugate-asymmetric transform dust every step: it carries
-    # no real-field content, but the conduction instability is unsaturated in
-    # that sector (its advection vanishes on synthesis) and would amplify it
-    # from round-off to blow-up on supercritical runs.
     c[:2] /= den_u
     c[2] /= den_t
-    hermitian_part(c, out=c)
     t_new = s.time + dt
     _check_finite(c, ("u1", "u2", "theta"), s.time, t_new, label)
     new = State(
@@ -264,7 +257,7 @@ def step_scalar(
         w_new, w_old = _ab2_weights(dt, history.dt)
         xth = w_new * eth + w_old * history.e_th
     num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
-    c = hermitian_part((theta.coeffs * num + dt * xth) / den)
+    c = (theta.coeffs * num + dt * xth) / den
     _check_finite(c, ("theta",), time, time + dt, label)
     return SpectralField(g, SIN, c), ScalarHistory(eth, dt)
 

@@ -55,14 +55,11 @@ STEP = StepperConfig(dt=2e-3)
 
 
 def single_mode_solenoidal(grid: Grid, n: int, m: int) -> VectorField:
-    """Divergence-free velocity occupying one conjugate mode pair."""
-    c1 = np.zeros(grid.shape, dtype=complex)
-    c2 = np.zeros(grid.shape, dtype=complex)
-    ky = grid.ky[m]
-    for idx in (n, (-n) % grid.nx):
-        kx = grid.kx[idx]
-        c1[idx, m] = 1j * ky
-        c2[idx, m] = kx
+    """Divergence-free velocity occupying one conjugate mode pair (row n >= 0)."""
+    c1 = np.zeros(grid.coeff_shape, dtype=complex)
+    c2 = np.zeros(grid.coeff_shape, dtype=complex)
+    c1[n, m] = 1j * grid.ky[m]
+    c2[n, m] = grid.kx[n]
     f = VectorField(SpectralField(grid, COS, c1), SpectralField(grid, SIN, c2))
     assert norm_h(f) > 0
     return f
@@ -449,6 +446,18 @@ class TestObservationReplay:
             run_from_record(narrow, params, spec, STEP)
         assert f"payload2 rows have shape {got}" in str(err.value)
         assert f"measure gives {want}" in str(err.value)
+        if kind == MODAL:
+            # a record in the full nx-row layout also holds the mirror rows
+            # -n of the observed modes, so its rows are wider than measure's
+            mask = modal_projection_mask(spec)
+            c = np.zeros((len(rec.times),) + GRID.coeff_shape, dtype=complex)
+            c[:, mask] = rec.payload1
+            full = np.concatenate([c, np.conj(c[:, -2:0:-1])], axis=1)
+            full_mask = np.concatenate([mask, mask[-2:0:-1]])
+            wide = dataclasses.replace(rec, payload1=full[:, full_mask])
+            assert wide.payload1.shape[1] > rec.payload1.shape[1]
+            with pytest.raises(ValueError, match="payload1 rows have shape"):
+                run_from_record(wide, params, spec, STEP)
 
 
 class TestFitDecayRate:

@@ -131,7 +131,7 @@ class TestCheckpoint:
         s = self.make_state()
         p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0)
         rng = np.random.default_rng(4)
-        shape = s.grid.shape
+        shape = s.grid.coeff_shape
         hist = History(
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
@@ -147,15 +147,17 @@ class TestCheckpoint:
         assert np.array_equal(ck.history.e_u2, hist.e_u2)
         assert np.array_equal(ck.history.e_th, hist.e_th)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [VERSION - 1, VERSION + 1])
+    def test_version_mismatch_rejected(self, tmp_path, version):
+        # VERSION - 1 held all nx coefficient rows; the message names both
         s = self.make_state()
         p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0)
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, s, p, seed=0)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = struct.pack("<I", VERSION + 1)
+        blob[8:12] = struct.pack("<I", version)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=f"version {version}, expected {VERSION}"):
             load_checkpoint(path)
 
     def test_foreign_file_rejected(self, tmp_path):
@@ -176,7 +178,7 @@ class TestCheckpoint:
 
     def test_magic_is_stable(self):
         assert MAGIC == b"BENARDDA"
-        assert VERSION == 1
+        assert VERSION == 2
 
 
 class TestSpinupCommand:

@@ -9,10 +9,10 @@ import sympy as sp
 from benard_da.manufactured import (
     ManufacturedCase,
     default_case,
+    rhs_truth,
     semidiscrete_residual,
     temporal_errors,
 )
-from benard_da.model import rhs_truth
 from benard_da.spectral import Grid, norm_h, solenoidality_defect, synthesize
 
 GRID = Grid(2.0, 64, 64)

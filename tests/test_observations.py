@@ -167,7 +167,7 @@ class TestModal:
 
 class TestVolume:
     def test_constant_field_unchanged(self, grid):
-        c = np.zeros((grid.nx, grid.ny + 1), dtype=complex)
+        c = np.zeros(grid.coeff_shape, dtype=complex)
         c[0, 0] = 3.7
         u = VectorField(SpectralField(grid, "cos", c), SpectralField.zeros(grid, "sin"))
         o = observe(u, InterpolantSpec(VOLUME, 0.25, grid))

@@ -40,9 +40,11 @@ class TestGrid:
 
     def test_wavenumber_conventions(self):
         g = sp.Grid(L=2.0, nx=16, ny=8)
+        assert g.coeff_shape == (9, 9) and g.shape == (16, 9)
         assert g.kx[1] == pytest.approx(2 * np.pi / g.L)
-        assert g.kx[-1] == pytest.approx(-2 * np.pi / g.L)
+        assert g.kx[-1] == pytest.approx(np.pi * g.nx / g.L)  # Nyquist row
         assert g.ky[3] == pytest.approx(3 * np.pi)
+        assert g.multiplicity.tolist() == [1.0] + [2.0] * 7 + [1.0]
 
     def test_dealias_band_avoids_power_of_two_collisions(self):
         # products of retained modes must alias outside the retained band
@@ -59,7 +61,7 @@ class TestTransforms:
         g = sp.Grid(L=2.0, nx=16, ny=16)
         vals = np.broadcast_to(np.sin(np.pi * g.y), g.shape).copy()
         f = sp.analyze(g, vals, sp.SIN)
-        expected = np.zeros(g.shape, dtype=complex)
+        expected = np.zeros(g.coeff_shape, dtype=complex)
         expected[0, 1] = 1.0
         assert np.abs(f.coeffs - expected).max() < 1e-13
 
@@ -93,28 +95,29 @@ class TestTransforms:
         assert np.abs(sp.synthesize(f) - exact).max() < 1e-12
 
     def test_reality_symmetry_of_analyzed_fields(self):
-        # analysis mirrors a real FFT, so the symmetry holds bit for bit
+        # analysis keeps the rows of a real FFT: the self-conjugate rows
+        # n = 0 and nx/2 come out exactly real, the others as they are
         g = sp.Grid(L=1.0, nx=32, ny=16)
         rng = np.random.default_rng(3)
-        f = sp.analyze(g, rng.standard_normal(g.shape), sp.COS)
-        assert sp.reality_defect(f) == 0.0
-        for q in sp.analyze(g, rng.standard_normal((2,) + g.shape), sp.SIN):
-            assert sp.reality_defect(q) == 0.0
+        vals = rng.standard_normal(g.shape)
+        f = sp.analyze(g, vals, sp.COS)
+        assert f.coeffs.shape == g.coeff_shape
+        assert np.abs(f.coeffs[1:-1].imag).max() > 0.0
+        for q in [f] + sp.analyze(g, rng.standard_normal((2,) + g.shape), sp.SIN):
+            assert not q.coeffs[0].imag.any()
+            assert not q.coeffs[-1].imag.any()
 
 
 class TestBatchedTransforms:
     """The batched kernel: stacks agree with single fields bit for bit, and
-    the Hermitian fold is the only reality convention."""
+    the half layout is the only reality convention."""
 
     @staticmethod
-    def mixed_fields(g, rng, hermitian=True):
+    def mixed_fields(g, rng):
         fields = []
         for parity in (sp.SIN, sp.COS, sp.SIN, sp.COS, sp.COS, sp.SIN):
-            c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-            f = sp.SpectralField(g, parity, c)
-            if hermitian:
-                f = sp.SpectralField(g, parity, sp.hermitian_part(f.coeffs))
-            fields.append(f)
+            c = rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape)
+            fields.append(sp.SpectralField(g, parity, c))
         return fields
 
     @pytest.mark.parametrize("shape", [(16, 8), (64, 32), (128, 64)])
@@ -137,27 +140,23 @@ class TestBatchedTransforms:
             assert np.array_equal(f.coeffs, sp.analyze(g, v, parity).coeffs)
 
     def test_non_hermitian_coefficients_synthesize_to_real_part(self):
-        # reference: y sums by the explicit basis, x sum by a complex ifft
+        # Arbitrary complex rows n = 0 .. nx/2, imaginary self-conjugate rows
+        # included, synthesize to the real part of the plain sum over the
+        # full spectrum with c[-n] = conj(c[n]).  Reference: y sums by the
+        # explicit basis, x sum by a complex ifft of the mirrored rows.
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        fields = self.mixed_fields(g, np.random.default_rng(8), hermitian=False)
+        rng = np.random.default_rng(8)
         m = np.arange(g.ny + 1)
-        for f, vals in zip(fields, sp.synthesize(fields)):
-            basis = np.cos if f.parity == sp.COS else np.sin
-            gy = f.coeffs @ basis(np.pi * np.outer(m, g.y))
+        for parity in (sp.SIN, sp.COS, sp.SIN, sp.COS):
+            c = rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape)
+            if parity == sp.SIN:
+                c[:, [0, -1]] = 0.0
+            basis = np.cos if parity == sp.COS else np.sin
+            full = np.concatenate([c, np.conj(c[-2:0:-1])])
+            gy = full @ basis(np.pi * np.outer(m, g.y))
             ref = (np.fft.ifft(gy, axis=0) * g.nx).real
+            vals = sp.synthesize(sp.SpectralField(g, parity, c))
             assert np.abs(vals - ref).max() < 1e-13 * np.abs(ref).max()
-
-    def test_hermitian_part_matches_mirror_average(self):
-        g = sp.Grid(L=2.0, nx=32, ny=16)
-        rng = np.random.default_rng(9)
-        shape = (3,) + g.shape
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h = sp.hermitian_part(c)
-        for k in range(3):
-            mirror = np.conj(np.roll(c[k][::-1, :], 1, axis=0))
-            assert np.array_equal(h[k], 0.5 * (c[k] + mirror))
-            assert sp.reality_defect(sp.SpectralField(g, sp.COS, h[k])) == 0.0
-        assert np.array_equal(sp.hermitian_part(h), h)
 
     def test_mixed_grids_rejected(self):
         a = sp.SpectralField.zeros(sp.Grid(L=2.0, nx=16, ny=8), sp.COS)
@@ -247,9 +246,9 @@ class TestLerayProjection:
         u1 = sp.random_scalar(g, rng, sp.COS)
         u2 = sp.random_scalar(g, rng, sp.SIN)
         proj = sp.leray_project(sp.VectorField(u1, u2))
-        expected1 = np.zeros(g.shape, dtype=complex)
-        expected2 = np.zeros(g.shape, dtype=complex)
-        for ni in range(g.nx):
+        expected1 = np.zeros(g.coeff_shape, dtype=complex)
+        expected2 = np.zeros(g.coeff_shape, dtype=complex)
+        for ni in range(g.nx // 2 + 1):
             for m in range(g.ny + 1):
                 vec = np.array([u1.coeffs[ni, m], u2.coeffs[ni, m]])
                 if ni == 0 and m == 0:
@@ -370,6 +369,26 @@ class TestNormsAndStructure:
         assert np.abs(dvals[:, 0]).max() == 0.0
         assert np.abs(dvals[:, -1]).max() == 0.0
 
+    def test_self_conjugate_rows_are_held_real(self):
+        # The constructor is the one place reality is enforced: it drops the
+        # imaginary part of rows n = 0 and nx/2 and nothing else, so every
+        # field, however built, holds the coefficients of a real field.
+        g = sp.Grid(L=2.0, nx=32, ny=16)
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape)
+        f = sp.SpectralField(g, sp.COS, c)
+        assert np.array_equal(f.coeffs[[0, -1]], c[[0, -1]].real)
+        assert f.coeffs[1:-1].tobytes() == c[1:-1].tobytes()
+        clean = sp.SpectralField(g, sp.COS, f.coeffs)
+        assert clean.coeffs.tobytes() == f.coeffs.tobytes()
+        for op in (
+            lambda a: a * 1j,
+            lambda a: sp.derivative_x(a),
+            lambda a: a - sp.SpectralField(g, sp.COS, 1j * c),
+        ):
+            out = op(f)
+            assert not out.coeffs[0].imag.any() and not out.coeffs[-1].imag.any()
+
     def test_fields_are_immutable(self):
         g = sp.Grid(L=1.0, nx=16, ny=8)
         f = sp.SpectralField.zeros(g, sp.COS)
@@ -397,7 +416,7 @@ class TestFieldArithmetic:
     def _field(self, parity, seed, grid=None):
         g = grid or self.G
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        c = rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape)
         return sp.SpectralField(g, parity, c)
 
     def _vector(self, seed):
@@ -419,7 +438,7 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("parity", [sp.COS, sp.SIN])
     def test_scalar_operators_match_coefficients(self, parity):
         a, b = self._field(parity, 1), self._field(parity, 2)
-        arr = np.random.default_rng(3).standard_normal(self.G.shape)
+        arr = np.random.default_rng(3).standard_normal(self.G.coeff_shape)
         for got, expr in self._cases(a, b, -0.37, arr):
             want = sp.SpectralField(self.G, parity, expr(a, b))
             assert isinstance(got, sp.SpectralField)
@@ -428,7 +447,7 @@ class TestFieldArithmetic:
 
     def test_vector_operators_are_componentwise(self):
         u, w = self._vector(4), self._vector(6)
-        arr = np.random.default_rng(8).standard_normal(self.G.shape)
+        arr = np.random.default_rng(8).standard_normal(self.G.coeff_shape)
         for got, expr in self._cases(u, w, 2.5, arr):
             assert isinstance(got, sp.VectorField)
             for name in ("u1", "u2"):
@@ -440,7 +459,7 @@ class TestFieldArithmetic:
         a, b = self._field(sp.SIN, 9), self._field(sp.SIN, 10)
         u, w = self._vector(11), self._vector(13)
         before = [f.coeffs.copy() for f in (a, b, u.u1, u.u2, w.u1, w.u2)]
-        arr = np.ones(self.G.shape)
+        arr = np.ones(self.G.coeff_shape)
         results = [f for f, _ in self._cases(a, b, 1.0, arr)]
         for v, _ in self._cases(u, w, 1.0, arr):
             results += [v.u1, v.u2]
@@ -488,6 +507,15 @@ class TestFieldArithmetic:
 
     def test_numpy_left_operands_return_fields(self):
         a, u = self._field(sp.SIN, 22), self._vector(23)
-        for left in (np.ones(self.G.shape), np.float64(2)):
+        for left in (np.ones(self.G.coeff_shape), np.float64(2)):
             assert isinstance(left * a, sp.SpectralField)
             assert isinstance(left * u, sp.VectorField)
+
+    def test_equality_is_identity_and_fields_hash(self):
+        a = sp.SpectralField.zeros(self.G, sp.COS)
+        b = sp.SpectralField.zeros(self.G, sp.COS)
+        u = sp.VectorField.zeros(self.G)
+        assert a == a and a != b
+        assert u == u and u != sp.VectorField.zeros(self.G)
+        assert len({a, b, u}) == 3
+        assert hash(a) != hash(b)

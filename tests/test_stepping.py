@@ -14,7 +14,6 @@ from benard_da.spectral import (
     random_scalar,
     random_solenoidal,
     real_mode,
-    reality_defect,
     solenoidality_defect,
 )
 from benard_da.stepping import (
@@ -49,8 +48,8 @@ class TestConfig:
             StepperConfig(dt=0.1, cfl_target=-1.0)
 
     def test_nudging_step_forms(self, grid):
-        mask = np.ones(grid.shape)
-        data = np.zeros(grid.shape, dtype=complex)
+        mask = np.ones(grid.coeff_shape)
+        data = np.zeros(grid.coeff_shape, dtype=complex)
         force = VectorField.zeros(grid)
         NudgingStep(mu=1.0, observed_mask=mask, data1=data, data2=data)
         NudgingStep(mu=1.0, force=force)
@@ -223,10 +222,11 @@ class TestBlowUp:
         e = ei.value
         assert e.time > 0.0
         assert e.label == "truth"
-        # the report names the worst coefficient of the failing update
+        # the report names the worst coefficient of the failing update, by
+        # its stored row n (standing for n and -n) and column m
         assert e.field in ("u1", "u2", "theta")
         n, m = e.mode
-        assert -grid.nx // 2 <= n < grid.nx // 2 and 0 <= m <= grid.ny
+        assert 0 <= n <= grid.nx // 2 and 0 <= m <= grid.ny
         assert not e.magnitude <= 1e12
         assert e.last_finite_time == e.time - 1.0
         for part in (e.field, f"(n, m) = ({n}, {m})", f"t = {e.last_finite_time:.6g}"):
@@ -247,8 +247,8 @@ class TestNudgingHooks:
         p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
         s = shear_state(grid)
         mu, dt = 200.0, 0.01
-        mask = np.ones(grid.shape)
-        zero = np.zeros(grid.shape, dtype=complex)
+        mask = np.ones(grid.coeff_shape)
+        zero = np.zeros(grid.coeff_shape, dtype=complex)
         nd = NudgingStep(mu=mu, observed_mask=mask, data1=zero, data2=zero)
         s1, _ = step(s, p, StepperConfig(dt=dt), nudging=nd)
         x = p.nu * np.pi**2 * dt
@@ -287,40 +287,67 @@ class TestNudgingHooks:
 
 
 class TestRealityPreservation:
-    def test_conjugate_symmetry_never_drifts(self, grid):
-        # Transform round-off dust in the conjugate-asymmetric sector sees
-        # the conduction instability without advective saturation; unless
-        # each step projects it out it grows from 1e-16 to blow-up on long
-        # supercritical runs.  16k steps is enough for the unfixed stepper
-        # to reach a defect near 1e-13.
+    """Reality is a property of the half layout: the stepper holds no
+    projection, yet the self-conjugate rows stay real and the Nyquist row,
+    outside the dealiased band, only diffuses."""
+
+    def test_self_conjugate_rows_stay_real(self, grid):
+        # A supercritical run from a state that also carries real Nyquist
+        # temperature content: every step leaves rows 0 and nx/2 exactly
+        # real.  The explicit tendencies are dealiased away from the
+        # Nyquist row, so it follows its own linear per-mode dynamics
+        # (diffusion and buoyancy) and matches a run of it alone.
         p = PhysicalParams(nu=0.005, kappa=0.005, L=2.0)
         rng = np.random.default_rng(7)
         s = State(
             random_solenoidal(grid, rng, norm=0.01),
             random_scalar(grid, rng, "sin", norm=0.01),
         )
-        s, _ = integrate(s, p, StepperConfig(dt=1e-3), 16.0)
-        assert reality_defect(s.velocity.u1) < 1e-15
-        assert reality_defect(s.velocity.u2) < 1e-15
-        assert reality_defect(s.temperature) < 1e-15
+        nyq = np.zeros(grid.coeff_shape)
+        nyq[-1, 1:-1] = 1e-3 * rng.standard_normal(grid.ny - 1)
+        theta_nyq = SpectralField(grid, "sin", nyq)
+        s = State(s.velocity, s.temperature + theta_nyq)
+        cfg, t_end = StepperConfig(dt=1e-3), 1.0
+        seen = []
+        s, _ = integrate(s, p, cfg, t_end, observers=[(1, seen.append)])
+        assert len(seen) == 1000
+        for st in seen:
+            for f in (st.velocity.u1, st.velocity.u2, st.temperature):
+                assert not f.coeffs[0].imag.any() and not f.coeffs[-1].imag.any()
+        alone, _ = integrate(State(VectorField.zeros(grid), theta_nyq), p, cfg, t_end)
+        for f, ref in (
+            (s.velocity.u1, alone.velocity.u1),
+            (s.velocity.u2, alone.velocity.u2),
+            (s.temperature, alone.temperature),
+        ):
+            assert np.array_equal(f.coeffs[-1], ref.coeffs[-1])
+        assert np.abs(s.velocity.u2.coeffs[-1]).max() > 0.0
+        assert 0.0 < np.abs(s.temperature.coeffs[-1]).max() < np.abs(nyq).max()
         assert norm_v(s.velocity) < 10.0
 
-    def test_asymmetric_dust_is_removed_in_one_step(self, grid):
+    def test_imaginary_self_conjugate_input_is_dropped_in_one_step(self, grid):
+        # Coefficient arrays with imaginary parts in rows 0 and nx/2 carry
+        # no real-field content: the fields drop them on construction, so
+        # one step from them is bit for bit the step from the real rows.
         p = PhysicalParams(nu=0.1, kappa=0.1, L=2.0)
         rng = np.random.default_rng(11)
         s = State(
             random_solenoidal(grid, rng, norm=0.5),
             random_scalar(grid, rng, "sin", norm=0.5),
         )
-        dirty = rng.standard_normal(grid.shape) * 1e-3
-        s = State(
-            s.velocity,
-            SpectralField(grid, "sin", s.temperature.coeffs + 1j * dirty),
-            s.time,
-        )
-        assert reality_defect(s.temperature) > 1e-6
-        out, _ = step(s, p, StepperConfig(dt=0.01))
-        assert reality_defect(out.temperature) < 1e-15
+        raw = np.array(s.temperature.coeffs)
+        raw.imag[[0, -1]] = rng.standard_normal((2, grid.ny + 1)) * 1e-3
+        t = SpectralField(grid, "sin", raw)
+        assert t.coeffs.tobytes() == s.temperature.coeffs.tobytes()
+        out, _ = step(State(s.velocity, t, s.time), p, StepperConfig(dt=0.01))
+        ref, _ = step(s, p, StepperConfig(dt=0.01))
+        for a, b in (
+            (out.velocity.u1, ref.velocity.u1),
+            (out.velocity.u2, ref.velocity.u2),
+            (out.temperature, ref.temperature),
+        ):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert not a.coeffs[0].imag.any() and not a.coeffs[-1].imag.any()
 
 
 class TestScalarStep:
