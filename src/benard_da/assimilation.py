@@ -123,10 +123,6 @@ class TwinConfig:
         if not (self.run_time > 0):
             raise ValueError("run_time must be positive")
         _step_count(self.run_time, self.stepper.dt)
-        if self.stepper.cfl_target is not None:
-            raise ValueError(
-                "twin experiments step at the fixed dt; cfl_target is not supported"
-            )
         if self.v0_policy not in _POLICIES or self.eta0_policy not in _POLICIES:
             raise ValueError(f"initial policies must be one of {_POLICIES}")
         if self.sample_cadence < 1:
@@ -572,8 +568,6 @@ def run_from_record(
     """
     if not record.matches(spec, stepper):
         raise ValueError("record does not match the observation spec and stepper")
-    if stepper.cfl_target is not None:
-        raise ValueError("replay steps at the recorded dt; cfl_target is not supported")
     g = spec.grid
     n, row = len(record.times), measure(VectorField.zeros(g), spec)[0].shape
     for name in ("payload1", "payload2"):
@@ -672,15 +666,14 @@ def run_temperature_slaving(
     """
     if theta_a.grid != truth0.grid or theta_b.grid != truth0.grid:
         raise ValueError("temperatures must live on the truth grid")
+    if sample_cadence < 1:
+        raise ValueError(f"sample_cadence must be at least 1, got {sample_cadence}")
     n_steps = _step_count(run_time, stepper.dt)
     truth = truth0
     t_hist: Optional[History] = None
-    ha: Optional[ScalarHistory] = None
-    hb: Optional[ScalarHistory] = None
-    if stepper.scheme == "imex-cnab2":
-        c0 = truth0.velocity
-        ha = ScalarHistory(temperature_tendency(c0, theta_a).coeffs, stepper.dt)
-        hb = ScalarHistory(temperature_tendency(c0, theta_b).coeffs, stepper.dt)
+    c0 = truth0.velocity
+    ha = ScalarHistory(temperature_tendency(c0, theta_a).coeffs, stepper.dt)
+    hb = ScalarHistory(temperature_tendency(c0, theta_b).coeffs, stepper.dt)
 
     def gap() -> float:
         return norm_h(theta_a - theta_b) ** 2

@@ -272,7 +272,7 @@ def _sweep_chunk(
     return rows
 
 
-def cmd_sweep(cfg: RunConfig, workers: Optional[int]) -> int:
+def cmd_sweep(cfg: RunConfig, workers: int) -> int:
     cfg.twin_config()  # a config every row would reject fails before the spin-up
     out = _out_dir(cfg)
     mu_list = cfg.sweep_mu or (cfg.mu,)
@@ -282,7 +282,7 @@ def cmd_sweep(cfg: RunConfig, workers: Optional[int]) -> int:
     )
     pairs = [(mu, h) for mu in mu_list for h in h_list]
     # one contiguous chunk per worker; each chunk integrates its own truth
-    n = max(1, min(workers or 1, len(pairs)))
+    n = min(workers, len(pairs))
     cuts = [len(pairs) * i // n for i in range(n + 1)]
     jobs = [(cfg, pairs[a:b], truth0) for a, b in zip(cuts, cuts[1:])]
     if n > 1:
@@ -408,6 +408,16 @@ def cmd_validate() -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benard-da",
@@ -417,25 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def configured(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value config file (defaults when omitted)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the config output directory")
-        p.add_argument(
-            "--workers", type=int, help="parallel workers (sweep only)", default=None
-        )
+        return p
 
-    common(sub.add_parser("spinup", help="settle a truth state; write a checkpoint"))
-    p_twin = sub.add_parser("twin", help="run a twin experiment from a checkpoint")
-    common(p_twin)
+    configured("spinup", "settle a truth state; write a checkpoint")
+    p_twin = configured("twin", "run a twin experiment from a checkpoint")
     p_twin.add_argument("checkpoint", help="truth checkpoint from spinup")
-    common(sub.add_parser("sweep", help="twin runs over sweep_mu x sweep_h"))
-    common(
-        sub.add_parser(
-            "check-conditions", help="print sufficiency thresholds for the config"
-        )
+    p_sweep = configured("sweep", "twin runs over sweep_mu x sweep_h")
+    p_sweep.add_argument(
+        "--workers", type=_positive_int, default=1, help="parallel worker processes"
     )
-    common(sub.add_parser("validate", help="run the discretization check suite"))
+    configured("check-conditions", "print sufficiency thresholds for the config")
+    sub.add_parser("validate", help="run the discretization check suite")
     return parser
 
 

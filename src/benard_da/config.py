@@ -1,9 +1,10 @@
 """Plain-text run configuration: one key=value per line, # comments.
 
-Every knob of a run lives here so that (config, seed) pins down every
-output byte apart from timestamps and wall-times.  Unknown keys are
-rejected; omitted keys take the defaults below; a config round-trips
-through dumps()/parse() unchanged.
+Every knob of a run lives here, and every key takes effect, so that
+(config, seed) pins down every output byte apart from timestamps and
+wall-times.  Values are floats, integers, strings or comma-separated float
+lists (empty for none).  Unknown keys are rejected; omitted keys take the
+defaults below; a config round-trips through dumps()/parse() unchanged.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .assimilation import TwinConfig
 from .model import PhysicalParams
 from .observations import KINDS, InterpolantSpec
 from .spectral import Grid
-from .stepping import SCHEMES, StepperConfig
+from .stepping import StepperConfig
 
 __all__ = ["RunConfig", "ConfigError", "parse", "load", "dumps", "save"]
 
@@ -41,8 +42,6 @@ class RunConfig:
     ny: int = 64
     dealias_fraction: float = 2.0 / 3.0
     dt: float = 5e-3
-    scheme: str = "imex-cnab2"
-    cfl_target: Optional[float] = None
     interpolant_kind: str = "modal"
     spinup_time: float = 100.0
     run_time: float = 20.0
@@ -60,8 +59,6 @@ class RunConfig:
             raise ConfigError(
                 f"interpolant_kind must be one of {KINDS}, got {self.interpolant_kind!r}"
             )
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     def grid(self) -> Grid:
         return Grid(self.L, self.nx, self.ny, self.dealias_fraction)
@@ -72,7 +69,7 @@ class RunConfig:
         )
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, scheme=self.scheme, cfl_target=self.cfl_target)
+        return StepperConfig(dt=self.dt)
 
     def interpolant(self) -> InterpolantSpec:
         return InterpolantSpec(self.interpolant_kind, self.h, self.grid())
@@ -98,10 +95,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 def _parse_value(key: str, raw: str):
     f = _FIELDS[key]
     raw = raw.strip()
-    if f.type in ("Optional[float]",):
-        if raw.lower() in ("", "none"):
-            return None
-        return float(raw)
     if f.type == "Tuple[float, ...]":
         if raw == "":
             return ()
@@ -148,9 +141,7 @@ def dumps(cfg: RunConfig) -> str:
     lines = ["# twin-experiment run configuration", ""]
     for name in _FIELDS:
         v = getattr(cfg, name)
-        if v is None:
-            text = "none"
-        elif isinstance(v, tuple):
+        if isinstance(v, tuple):
             text = ",".join(repr(x) for x in v)
         elif isinstance(v, float):
             text = repr(v)

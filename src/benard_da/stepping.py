@@ -1,10 +1,9 @@
 """IMEX time stepping: implicit per-mode diffusion, explicit advection.
 
-Default scheme is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
-explicit terms) with an IMEX-Euler startup step when no history is supplied;
-"imex-euler" selects first-order stepping throughout.  The explicit-tendency
-history travels alongside the state so that a resumed integration reproduces
-an uninterrupted one bit for bit.
+The scheme is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
+explicit terms) with an IMEX-Euler startup step when no history is supplied.
+The explicit-tendency history travels alongside the state so that a resumed
+integration reproduces an uninterrupted one bit for bit.
 
 Nudging enters in one of two prepared forms (built by the assimilation
 layer): a diagonal damping on observed modes folded into the implicit solve
@@ -21,13 +20,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, explicit_rhs, temperature_tendency
-from .spectral import (
-    COS,
-    SIN,
-    SpectralField,
-    VectorField,
-    synthesize,
-)
+from .spectral import COS, SIN, SpectralField, VectorField
 
 __all__ = [
     "StepperConfig",
@@ -40,25 +33,18 @@ __all__ = [
     "integrate",
 ]
 
-SCHEMES = ("imex-cnab2", "imex-euler")
 BLOWUP_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size, scheme selection, optional advective CFL bound."""
+    """The fixed step size."""
 
     dt: float
-    scheme: str = "imex-cnab2"
-    cfl_target: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.cfl_target is not None and not (self.cfl_target > 0):
-            raise ValueError("cfl_target must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -189,7 +175,7 @@ def step(
     # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
     x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
     c = np.empty_like(x)
-    crank = cfg.scheme == "imex-cnab2" and history is not None
+    crank = history is not None
     if crank:
         w_new, w_old = _ab2_weights(dt, history.dt)
         x *= w_new
@@ -238,38 +224,24 @@ def step_scalar(
     p: PhysicalParams,
     cfg: StepperConfig,
     history: Optional[ScalarHistory] = None,
-    dt: Optional[float] = None,
     time: float = 0.0,
-    label: Optional[str] = None,
 ) -> Tuple[SpectralField, ScalarHistory]:
     """Advance a passive temperature carried by a frozen start-of-step velocity.
 
     Uses the same discretization as the scalar half of step(), so two scalars
     sharing one carrier difference exactly like a single advected scalar.
     """
-    g = theta.grid
-    if dt is None:
-        dt = cfg.dt
+    g, dt = theta.grid, cfg.dt
     eth = temperature_tendency(carrier, theta).coeffs
-    crank = cfg.scheme == "imex-cnab2" and history is not None
+    crank = history is not None
     xth = eth
     if crank:
         w_new, w_old = _ab2_weights(dt, history.dt)
         xth = w_new * eth + w_old * history.e_th
     num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
     c = (theta.coeffs * num + dt * xth) / den
-    _check_finite(c, ("theta",), time, time + dt, label)
+    _check_finite(c, ("theta",), time, time + dt, None)
     return SpectralField(g, SIN, c), ScalarHistory(eth, dt)
-
-
-def _cfl_limit(s: State, cfg: StepperConfig) -> float:
-    g = s.grid
-    v1, v2 = np.abs(synthesize([s.velocity.u1, s.velocity.u2]))
-    vx, vy = float(v1.max()), float(v2.max())
-    rate = vx * g.nx / g.L + vy * g.ny
-    if rate <= 0.0:
-        return cfg.dt
-    return min(cfg.dt, cfg.cfl_target / rate)
 
 
 def integrate(
@@ -289,16 +261,17 @@ def integrate(
     """
     if t_end < s0.time - 1e-9 * cfg.dt:
         raise ValueError(f"t_end={t_end} precedes state time {s0.time}")
-    state, hist = s0, history
     observers = tuple(observers)
+    for every, _ in observers:
+        if every < 1:
+            raise ValueError(f"observer period must be at least 1 step, got {every}")
+    state, hist = s0, history
     k = 0
     while t_end - state.time > 1e-9 * cfg.dt:
         remaining = t_end - state.time
         # Keep the nominal dt bit pattern when t_end sits on the step grid;
         # a rounding-sized clamp would spoil bit-exact composition.
         dt = cfg.dt if remaining >= cfg.dt * (1.0 - 1e-9) else remaining
-        if cfg.cfl_target is not None:
-            dt = min(dt, _cfl_limit(state, cfg))
         state, hist = step(
             state, p, cfg, forcing=forcing, history=hist, dt=dt, label=label
         )

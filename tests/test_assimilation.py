@@ -91,11 +91,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="run_time"):
             twin_config(run_time=0.0)
 
-    def test_cfl_target_rejected(self):
-        # both trajectories step at the fixed dt; a CFL bound would be ignored
-        with pytest.raises(ValueError, match="cfl_target"):
-            twin_config(stepper=StepperConfig(dt=2e-3, cfl_target=0.5))
-
     def test_run_time_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="multiple"):
             twin_config(run_time=0.0031, stepper=StepperConfig(dt=1e-3))
@@ -367,10 +362,6 @@ class TestObservationReplay:
         other = StepperConfig(dt=1e-3)
         with pytest.raises(ValueError, match="match"):
             run_from_record(rec, SUPER, spec, other)
-        # the replay steps at the recorded dt, so a CFL bound is refused
-        cfl = StepperConfig(dt=STEP.dt, cfl_target=0.5)
-        with pytest.raises(ValueError, match="cfl_target"):
-            run_from_record(rec, SUPER, spec, cfl)
 
 
     @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])
@@ -564,3 +555,16 @@ class TestTemperatureSlaving:
         ta = SpectralField.zeros(other, SIN)
         with pytest.raises(ValueError, match="grid"):
             run_temperature_slaving(State.zeros(GRID), SUPER, STEP, ta, ta, 0.1)
+
+    @pytest.mark.parametrize("cadence", [0, -2])
+    def test_non_positive_cadence_rejected_before_stepping(self, cadence, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before rejecting the cadence")
+
+        monkeypatch.setattr(assimilation, "step", no_step)
+        monkeypatch.setattr(assimilation, "step_scalar", no_step)
+        th = real_mode(GRID, SIN, 0, 1)
+        with pytest.raises(ValueError, match="sample_cadence"):
+            run_temperature_slaving(
+                State.zeros(GRID), SUPER, STEP, th, th, 0.1, sample_cadence=cadence
+            )

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from benard_da.bounds import (
-    GronwallCertificate,
     cap_decay_coefficient,
     decay_coefficient_series,
     estimate_ladyzhenskaya_constant,

@@ -1,8 +1,10 @@
 """Config, checkpoint, and command-line harness tests."""
 
 import csv
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from benard_da.cli import (
 from benard_da.config import ConfigError, RunConfig, dumps, load, parse, save
 from benard_da.model import PhysicalParams, State
 from benard_da.spectral import SIN, Grid, random_scalar, random_solenoidal
-from benard_da.stepping import History, StepperConfig, integrate
+from benard_da.stepping import History, integrate
 from benard_da.assimilation import spin_up
 
 
@@ -46,7 +48,7 @@ def small_config(**overrides) -> RunConfig:
 
 class TestConfig:
     def test_round_trip_unchanged(self):
-        cfg = small_config(sweep_mu=(10.0, 20.0), cfl_target=0.4)
+        cfg = small_config(sweep_mu=(10.0, 20.0), epsilon=0.4)
         assert parse(dumps(cfg)) == cfg
 
     def test_defaults_applied_for_missing_keys(self):
@@ -79,10 +81,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer"):
             parse("nx = 32.5\n")
 
-    def test_optional_float_accepts_none(self):
-        assert parse("cfl_target = none\n").cfl_target is None
-        assert parse("cfl_target = 0.5\n").cfl_target == 0.5
-
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="interpolant_kind"):
             parse("interpolant_kind = fourier\n")
@@ -92,6 +90,17 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         save(cfg, path)
         assert load(path) == cfg
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = [
+            key.strip().strip("`")
+            for line in section.splitlines()
+            if line.startswith("| `")
+            for key in line.split("|")[1].split(",")
+        ]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
     def test_materializers_agree(self):
         cfg = small_config()
@@ -320,11 +329,11 @@ class TestTwinCommand:
 
 
     def test_cfl_target_is_config_error(self, twin_workspace, tmp_path):
-        # the twin steps at the fixed dt, so a CFL bound is refused up front
+        # the twin steps at the fixed dt, so a CFL bound is an unknown key
         root, cfg_path, ckpt = twin_workspace
-        cfg = small_config(cfl_target=0.5, output_dir=str(tmp_path))
+        cfg = small_config(output_dir=str(tmp_path))
         p = tmp_path / "cfl.cfg"
-        save(cfg, p)
+        p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
         assert main(["twin", "--config", str(p), str(ckpt)]) == EXIT_CONFIG
         assert not (tmp_path / "errors.csv").exists()
 
@@ -386,9 +395,9 @@ class TestSweepCommand:
             raise AssertionError("sweep integrated before rejecting its config")
 
         monkeypatch.setattr(cli, "spin_up", no_integration)
-        cfg = small_config(cfl_target=0.5, sweep_mu=(10.0,), output_dir=str(tmp_path))
+        cfg = small_config(sweep_mu=(10.0,), output_dir=str(tmp_path))
         p = tmp_path / "cfl.cfg"
-        save(cfg, p)
+        p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
 
@@ -453,6 +462,22 @@ class TestCheckConditionsCommand:
         p = tmp_path / "bad.cfg"
         p.write_text("unknown_knob = 1\n")
         assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--config", "x"],
+            ["twin", "--workers", "2", "truth.ckpt"],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--workers", "-4"],
+        ],
+    )
+    def test_unread_option_or_bad_worker_count_exits_2(self, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 class TestValidateCommand:
