@@ -54,8 +54,9 @@ from .spectral import (
 from .stepping import (
     History,
     NudgingStep,
-    ScalarHistory,
     StepperConfig,
+    _step_count,
+    integrate,
     step,
     step_scalar,
 )
@@ -84,17 +85,6 @@ ZERO = "zero"
 PERTURBED_TRUTH = "perturbed-truth"
 CUSTOM = "custom"
 _POLICIES = (ZERO, PERTURBED_TRUTH, CUSTOM)
-
-
-def _step_count(run_time: float, dt: float) -> int:
-    """Number of dt steps spanning run_time, which must be a whole multiple."""
-    n = run_time / dt
-    steps = round(n)
-    if not abs(n - steps) <= 1e-9 * n:
-        raise ValueError(
-            f"run_time={run_time} is not a whole multiple of dt={dt}"
-        )
-    return steps
 
 
 @dataclass(frozen=True)
@@ -212,17 +202,14 @@ def spin_up(
 
     Long enough runs land on (or near) the attractor: supercritical
     parameters settle into convection, subcritical ones decay toward the
-    conduction fixed point.
+    conduction fixed point.  spinup_time must be a whole number of
+    steps; zero returns the initial perturbation and no history.
     """
-    from .stepping import integrate
-
     rng = np.random.default_rng(seed)
     s0 = State(
         random_solenoidal(grid, rng, norm=0.01),
         random_scalar(grid, rng, SIN, norm=0.01),
     )
-    if spinup_time == 0.0:
-        return s0, None
     return integrate(s0, params, stepper, spinup_time, observers=observers, label="truth")
 
 
@@ -672,8 +659,8 @@ def run_temperature_slaving(
     truth = truth0
     t_hist: Optional[History] = None
     c0 = truth0.velocity
-    ha = ScalarHistory(temperature_tendency(c0, theta_a).coeffs, stepper.dt)
-    hb = ScalarHistory(temperature_tendency(c0, theta_b).coeffs, stepper.dt)
+    ha = temperature_tendency(c0, theta_a).coeffs
+    hb = temperature_tendency(c0, theta_b).coeffs
 
     def gap() -> float:
         return norm_h(theta_a - theta_b) ** 2

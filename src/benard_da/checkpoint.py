@@ -7,7 +7,8 @@ little-endian complex pairs of 64-bit floats in declared order, each the
 rows n = 0 .. nx/2 of the half spectrum, shape (nx/2 + 1, ny + 1).  When
 the flag is set, the stepper history (three tendency arrays of that shape
 and its dt) follows, so a resumed run reproduces an uninterrupted one bit
-for bit.  Version 1 files held all nx rows; they are refused.
+for bit.  Resuming takes the dt the history was made with; the stepper
+refuses any other.  Version 1 files held all nx rows; they are refused.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 Every knob of a run lives here, and every key takes effect, so that
 (config, seed) pins down every output byte apart from timestamps and
 wall-times.  Values are floats, integers, strings or comma-separated float
-lists (empty for none).  Unknown keys are rejected; omitted keys take the
+lists (empty for none); integer keys take integer literals only ("32",
+not "32.0" or "1e3").  Unknown keys are rejected; omitted keys take the
 defaults below; a config round-trips through dumps()/parse() unchanged.
+spinup_time and run_time must be whole multiples of dt; a run refuses
+any other length before its first step.
 """
 
 from __future__ import annotations
@@ -102,10 +105,10 @@ def _parse_value(key: str, raw: str):
     if f.type == "float":
         return float(raw)
     if f.type == "int":
-        v = float(raw)
-        if v != int(v):
-            raise ConfigError(f"{key} must be an integer, got {raw!r}")
-        return int(v)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
     return raw
 
 

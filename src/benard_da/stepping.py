@@ -2,8 +2,12 @@
 
 The scheme is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
 explicit terms) with an IMEX-Euler startup step when no history is supplied.
-The explicit-tendency history travels alongside the state so that a resumed
-integration reproduces an uninterrupted one bit for bit.
+Every step has the one length StepperConfig.dt, so the AB2 weights are the
+constants 3/2 and -1/2.  A run spans a whole number of such steps: a length
+that is negative, not finite or not a whole multiple of dt is refused
+before any step.  The explicit-tendency history travels alongside the
+state so that a resumed integration reproduces an uninterrupted one bit
+for bit.
 
 Nudging enters in one of two prepared forms (built by the assimilation
 layer): a diagonal damping on observed modes folded into the implicit solve
@@ -14,6 +18,7 @@ here).  Temperature is never nudged; the scalar update has no such hook.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
@@ -25,7 +30,6 @@ from .spectral import COS, SIN, SpectralField, VectorField
 __all__ = [
     "StepperConfig",
     "History",
-    "ScalarHistory",
     "NudgingStep",
     "BlowUpError",
     "step",
@@ -43,22 +47,20 @@ class StepperConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
 class History:
-    """Explicit tendencies of the previous step (for AB2 extrapolation)."""
+    """Explicit tendencies of the previous step (for AB2 extrapolation).
+
+    dt is the step that made them; a saved history can meet a stepper of
+    another dt, and step() refuses it there.
+    """
 
     e_u1: np.ndarray
     e_u2: np.ndarray
-    e_th: np.ndarray
-    dt: float
-
-
-@dataclass(frozen=True)
-class ScalarHistory:
     e_th: np.ndarray
     dt: float
 
@@ -137,10 +139,19 @@ def _check_finite(
     raise BlowUpError(time, label, fields[k], (int(n), int(m)), peak, last_time)
 
 
-def _ab2_weights(dt: float, prev_dt: float) -> Tuple[float, float]:
-    """Adams-Bashforth-2 weights of the current and the previous tendency."""
-    r = dt / prev_dt
-    return 1.0 + 0.5 * r, -0.5 * r
+def _step_count(length: float, dt: float) -> int:
+    """Number of dt steps spanning length.
+
+    length must be finite, nonnegative and a whole multiple of dt (to a
+    relative 1e-9, which absorbs the rounding of accumulated times).
+    """
+    n = length / dt
+    steps = round(n) if math.isfinite(n) else -1
+    if steps < 0 or not abs(n - steps) <= 1e-9 * n:
+        raise ValueError(
+            f"length {length} is not a nonnegative whole multiple of dt={dt}"
+        )
+    return steps
 
 
 def _diffusion_factors(
@@ -163,13 +174,16 @@ def step(
     nudging: Optional[NudgingStep] = None,
     forcing: Optional[Forcing] = None,
     history: Optional[History] = None,
-    dt: Optional[float] = None,
     label: Optional[str] = None,
 ) -> Tuple[State, History]:
-    """Advance one step; returns the new state and the new AB2 history."""
-    g = s.grid
-    if dt is None:
-        dt = cfg.dt
+    """Advance one step of cfg.dt; returns the new state and the new history.
+
+    Without a history the step is the IMEX-Euler startup; with one it is
+    CNAB2, and the history must come from a step of the same dt.
+    """
+    g, dt = s.grid, cfg.dt
+    if history is not None and history.dt != dt:
+        raise ValueError(f"history was made with dt={history.dt}, not dt={dt}")
     vec, sc = explicit_rhs(s, p, forcing)
     # u1, u2 and theta advance as one (3, nx/2 + 1, ny + 1) stack; the
     # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
@@ -177,10 +191,9 @@ def step(
     c = np.empty_like(x)
     crank = history is not None
     if crank:
-        w_new, w_old = _ab2_weights(dt, history.dt)
-        x *= w_new
+        x *= 1.5
         np.stack([history.e_u1, history.e_u2, history.e_th], out=c)
-        c *= w_old
+        c *= -0.5
         x += c
     num_u, den_u = _diffusion_factors(p.nu, dt, g.lam, crank)
     num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam, crank)
@@ -223,25 +236,26 @@ def step_scalar(
     carrier: VectorField,
     p: PhysicalParams,
     cfg: StepperConfig,
-    history: Optional[ScalarHistory] = None,
+    history: Optional[np.ndarray] = None,
     time: float = 0.0,
-) -> Tuple[SpectralField, ScalarHistory]:
+) -> Tuple[SpectralField, np.ndarray]:
     """Advance a passive temperature carried by a frozen start-of-step velocity.
 
     Uses the same discretization as the scalar half of step(), so two scalars
     sharing one carrier difference exactly like a single advected scalar.
+    history is the tendency the previous call returned (None for the
+    startup step); the new tendency is returned alongside the new scalar.
     """
     g, dt = theta.grid, cfg.dt
     eth = temperature_tendency(carrier, theta).coeffs
     crank = history is not None
     xth = eth
     if crank:
-        w_new, w_old = _ab2_weights(dt, history.dt)
-        xth = w_new * eth + w_old * history.e_th
+        xth = 1.5 * eth - 0.5 * history
     num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
     c = (theta.coeffs * num + dt * xth) / den
     _check_finite(c, ("theta",), time, time + dt, None)
-    return SpectralField(g, SIN, c), ScalarHistory(eth, dt)
+    return SpectralField(g, SIN, c), eth
 
 
 def integrate(
@@ -254,28 +268,20 @@ def integrate(
     history: Optional[History] = None,
     label: Optional[str] = None,
 ) -> Tuple[State, Optional[History]]:
-    """Repeated step until t_end; observers are (every_n_steps, callback) pairs.
+    """Step from s0 to t_end; observers are (every_n_steps, callback) pairs.
 
-    Passing the returned history into a follow-up call makes two half-length
-    integrations compose to one full-length integration bit-exactly.
+    t_end - s0.time must be a whole number of steps of cfg.dt (zero
+    returns s0 and history unchanged); anything else is refused before
+    any step.  Passing the returned history into a follow-up call makes
+    two integrations compose to one over their joint length bit-exactly.
     """
-    if t_end < s0.time - 1e-9 * cfg.dt:
-        raise ValueError(f"t_end={t_end} precedes state time {s0.time}")
     observers = tuple(observers)
     for every, _ in observers:
         if every < 1:
             raise ValueError(f"observer period must be at least 1 step, got {every}")
     state, hist = s0, history
-    k = 0
-    while t_end - state.time > 1e-9 * cfg.dt:
-        remaining = t_end - state.time
-        # Keep the nominal dt bit pattern when t_end sits on the step grid;
-        # a rounding-sized clamp would spoil bit-exact composition.
-        dt = cfg.dt if remaining >= cfg.dt * (1.0 - 1e-9) else remaining
-        state, hist = step(
-            state, p, cfg, forcing=forcing, history=hist, dt=dt, label=label
-        )
-        k += 1
+    for k in range(1, _step_count(t_end - s0.time, cfg.dt) + 1):
+        state, hist = step(state, p, cfg, forcing=forcing, history=hist, label=label)
         for every, fn in observers:
             if k % every == 0:
                 fn(state)

@@ -94,6 +94,8 @@ class TestConfigValidation:
     def test_run_time_must_be_whole_steps(self):
         with pytest.raises(ValueError, match="multiple"):
             twin_config(run_time=0.0031, stepper=StepperConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="multiple"):
+            twin_config(run_time=np.inf)
         assert twin_config(run_time=0.3).run_time == 0.3
 
     def test_spinup_nonnegative(self):
@@ -125,6 +127,18 @@ class TestConfigValidation:
         z = np.zeros(3)
         with pytest.raises(ValueError, match="nonnegative"):
             ErrorSeries(t, z, z - 1.0, z, z)
+
+
+class TestSpinUp:
+    @pytest.mark.parametrize("spinup_time", [0.0031, np.inf])
+    def test_partial_step_refused_before_stepping(self, spinup_time):
+        seen = []
+        with pytest.raises(ValueError, match="whole multiple"):
+            spin_up(
+                SUPER, GRID, StepperConfig(dt=1e-3), spinup_time,
+                observers=[(1, seen.append)],
+            )
+        assert seen == []
 
 
 class TestNudgingForce:

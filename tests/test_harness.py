@@ -78,8 +78,15 @@ class TestConfig:
             parse("nu = fast\n")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ConfigError, match="integer"):
-            parse("nx = 32.5\n")
+        for text in ("32.5", "32.0", "1e3", "inf", "nan", "1e400"):
+            with pytest.raises(ConfigError, match="nx must be an integer"):
+                parse(f"nx = {text}\n")
+
+    def test_seventeen_digit_seed_round_trips(self):
+        seed = 12345678901234567  # not a float: the nearest one ends in 568
+        assert parse(f"seed = {seed}\n").seed == seed
+        cfg = small_config(seed=seed)
+        assert parse(dumps(cfg)) == cfg
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="interpolant_kind"):
@@ -215,6 +222,22 @@ class TestSpinupCommand:
             tmp_path / "b/truth.ckpt"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(dt=np.inf),
+            dict(spinup_time=np.inf),
+            dict(spinup_time=0.0031, dt=1e-3),
+        ],
+        ids=["dt=inf", "spinup_time=inf", "partial-step"],
+    )
+    def test_bad_step_or_length_exits_2_without_checkpoint(self, tmp_path, overrides):
+        cfg = small_config(output_dir=str(tmp_path), **overrides)
+        p = tmp_path / "run.cfg"
+        save(cfg, p)
+        assert main(["spinup", "--config", str(p)]) == EXIT_CONFIG
+        assert not (tmp_path / "truth.ckpt").exists()
+
     def test_reload_continues_bit_exactly(self, tmp_path):
         cfg = small_config(spinup_time=0.5)
         params = cfg.physical_params()
@@ -336,6 +359,26 @@ class TestTwinCommand:
         p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
         assert main(["twin", "--config", str(p), str(ckpt)]) == EXIT_CONFIG
         assert not (tmp_path / "errors.csv").exists()
+
+
+class TestInfiniteRunTime:
+    @pytest.mark.parametrize("command", ["twin", "sweep"])
+    def test_exits_2_before_stepping(
+        self, twin_workspace, tmp_path, monkeypatch, command
+    ):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before rejecting run_time")
+
+        monkeypatch.setattr(cli, "spin_up", no_integration)
+        monkeypatch.setattr(assimilation, "step", no_integration)
+        _, _, ckpt = twin_workspace
+        p = tmp_path / "run.cfg"
+        save(small_config(run_time=np.inf, output_dir=str(tmp_path / "out")), p)
+        argv = [command, "--config", str(p)]
+        if command == "twin":
+            argv.append(str(ckpt))
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -461,6 +504,11 @@ class TestCheckConditionsCommand:
     def test_bad_config_file_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("unknown_knob = 1\n")
+        assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
+
+    def test_infinite_seed_exit_code(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("seed = inf\n")
         assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
 
 

@@ -18,6 +18,7 @@ from benard_da.spectral import (
 )
 from benard_da.stepping import (
     BlowUpError,
+    History,
     NudgingStep,
     StepperConfig,
     integrate,
@@ -40,8 +41,9 @@ def shear_state(grid, amplitude=1.0):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.0)
+        for dt in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                StepperConfig(dt=dt)
 
     def test_nudging_step_forms(self, grid):
         mask = np.ones(grid.coeff_shape)
@@ -142,17 +144,28 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(s1, p, StepperConfig(dt=0.01), 0.05)
 
-    def test_composition_bit_exact(self, grid):
+    @pytest.mark.parametrize(
+        "t0, half", [(0.0, 0.35), (3e4, 0.1)], ids=["t0=0", "t0=3e4"]
+    )
+    def test_composition_bit_exact(self, grid, t0, half):
+        # Far from t = 0 the rounded times t0 + k dt miss t0 + 2 half by a
+        # few ulps; every run still takes whole steps of exactly dt.
         p = PhysicalParams(nu=0.05, kappa=0.05, L=2.0)
         rng = np.random.default_rng(3)
         s0 = State(
             random_solenoidal(grid, rng, norm=0.5),
             random_scalar(grid, rng, "sin", norm=0.5),
+            t0,
         )
         cfg = StepperConfig(dt=0.01)
-        sa, ha = integrate(s0, p, cfg, 0.35)
-        sb, hb = integrate(sa, p, cfg, 0.7, history=ha)
-        sc, hc = integrate(s0, p, cfg, 0.7)
+        split, straight = [], []
+        sa, ha = integrate(s0, p, cfg, t0 + half, observers=[(1, split.append)])
+        sb, hb = integrate(
+            sa, p, cfg, t0 + 2 * half, observers=[(1, split.append)], history=ha
+        )
+        sc, hc = integrate(s0, p, cfg, t0 + 2 * half, observers=[(1, straight.append)])
+        assert len(split) == len(straight) == round(2 * half / cfg.dt)
+        assert ha.dt == hb.dt == hc.dt == cfg.dt
         assert sb.time == sc.time
         assert np.array_equal(sb.velocity.u1.coeffs, sc.velocity.u1.coeffs)
         assert np.array_equal(sb.velocity.u2.coeffs, sc.velocity.u2.coeffs)
@@ -180,6 +193,17 @@ class TestIntegrate:
         integrate(s0, p, StepperConfig(dt=0.01), 0.1, observers=[(2, seen.append)])
         assert len(seen) == 5
         assert all(b.time > a.time for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("t_end", [0.0031, np.inf, np.nan])
+    def test_length_not_whole_steps_rejected_before_stepping(self, grid, t_end):
+        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        seen = []
+        with pytest.raises(ValueError, match="whole multiple"):
+            integrate(
+                shear_state(grid), p, StepperConfig(dt=1e-3), t_end,
+                observers=[(1, seen.append)],
+            )
+        assert seen == []
 
     @pytest.mark.parametrize("every", [0, -2])
     def test_non_positive_observer_period_rejected_before_stepping(self, grid, every):
@@ -235,6 +259,18 @@ class TestNudgingHooks:
         with pytest.raises(ValueError):
             step(s, p, StepperConfig(dt=0.1), nudging=nd)
         step(s, p, StepperConfig(dt=0.004), nudging=nd)
+
+    def test_history_of_another_dt_refused(self, grid):
+        # a saved history can meet a stepper of another dt; AB2 with the
+        # constant weights would silently be wrong there
+        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        s = shear_state(grid)
+        _, hist = step(s, p, StepperConfig(dt=0.01))
+        assert hist.dt == 0.01
+        other = History(hist.e_u1, hist.e_u2, hist.e_th, 0.02)
+        with pytest.raises(ValueError, match="dt=0.02"):
+            step(s, p, StepperConfig(dt=0.01), history=other)
+        step(s, p, StepperConfig(dt=0.02), history=other)
 
     def test_implicit_nudging_damps_observed_mode(self, grid):
         # Truth zero, observations zero: observed modes feel 1/(1 + mu dt).
