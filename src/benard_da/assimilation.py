@@ -91,9 +91,10 @@ _POLICIES = (ZERO, PERTURBED_TRUTH, CUSTOM)
 class TwinConfig:
     """Parameters of one twin experiment.
 
-    sample_cadence counts steps between recorded samples.  epsilon scales
-    the perturbed-truth initial policies.  params.h and spec.h must agree;
-    the spec is what actually observes.
+    Each value has one home: params holds nu, kappa and mu, spec holds the
+    observation kind and spacing h, and spec.grid holds L and the
+    resolution.  sample_cadence counts steps between recorded samples.
+    epsilon scales the perturbed-truth initial policies.
     """
 
     params: PhysicalParams
@@ -117,12 +118,6 @@ class TwinConfig:
             raise ValueError(f"initial policies must be one of {_POLICIES}")
         if self.sample_cadence < 1:
             raise ValueError("sample_cadence must be at least 1")
-        if self.params.h != self.spec.h:
-            raise ValueError(
-                f"params.h={self.params.h} and spec.h={self.spec.h} disagree"
-            )
-        if self.params.L != self.spec.grid.L:
-            raise ValueError("params.L and the grid's L disagree")
 
 
 @dataclass(frozen=True)
@@ -157,9 +152,7 @@ class TruthDiagnostics:
     """Reference-trajectory norms sampled alongside the errors."""
 
     times: np.ndarray
-    u_h: np.ndarray
     u_v: np.ndarray
-    theta_h: np.ndarray
     theta_v: np.ndarray
     a0u_sq: np.ndarray
 
@@ -256,9 +249,7 @@ class _SeriesAccumulator:
                 norm_v(w),
                 norm_h(xi),
                 norm_v(xi),
-                norm_h(truth.velocity),
                 norm_v(truth.velocity),
-                norm_h(truth.temperature),
                 norm_v(truth.temperature),
                 norm_laplacian(truth.velocity) ** 2,
             )
@@ -267,13 +258,25 @@ class _SeriesAccumulator:
     def build(self) -> Tuple[ErrorSeries, TruthDiagnostics]:
         cols = np.array(self.rows, dtype=float).T
         errors = ErrorSeries(cols[0], cols[1], cols[2], cols[3], cols[4])
-        diag = TruthDiagnostics(cols[0], cols[5], cols[6], cols[7], cols[8], cols[9])
+        diag = TruthDiagnostics(cols[0], cols[5], cols[6], cols[7])
         return errors, diag
+
+
+# what ObservationRecord.save writes: the spec flat, then the stream
+_RECORD_KEYS = (
+    "kind", "h", "L", "nx", "ny", "dealias_fraction",
+    "dt", "times", "payload1", "payload2",
+)
 
 
 @dataclass(frozen=True)
 class ObservationRecord:
     """Per-step coarse velocity observations from a truth run.
+
+    spec is the observation spec that made the record, its grid included,
+    and dt the step; a replay takes only an equal spec and dt.  save()
+    writes the spec flat (kind, h, L, nx, ny, dealias_fraction) and load()
+    rebuilds it, refusing a file that lacks any of them.
 
     Row k holds the data observations.measure() gave at step k: modal
     records store the complex coefficients of the observed modes at
@@ -284,24 +287,22 @@ class ObservationRecord:
     trajectory exactly.
     """
 
-    kind: str
-    h: float
-    L: float
-    nx: int
-    ny: int
+    spec: InterpolantSpec
     dt: float
     times: np.ndarray
     payload1: np.ndarray
     payload2: np.ndarray
 
     def save(self, path) -> None:
+        g = self.spec.grid
         np.savez_compressed(
             path,
-            kind=self.kind,
-            h=self.h,
-            L=self.L,
-            nx=self.nx,
-            ny=self.ny,
+            kind=self.spec.kind,
+            h=self.spec.h,
+            L=g.L,
+            nx=g.nx,
+            ny=g.ny,
+            dealias_fraction=g.dealias_fraction,
             dt=self.dt,
             times=self.times,
             payload1=self.payload1,
@@ -311,12 +312,14 @@ class ObservationRecord:
     @staticmethod
     def load(path) -> "ObservationRecord":
         with np.load(path) as z:
+            missing = [k for k in _RECORD_KEYS if k not in z.files]
+            if missing:
+                raise ValueError(f"record {path} lacks {', '.join(missing)}")
+            grid = Grid(
+                float(z["L"]), int(z["nx"]), int(z["ny"]), float(z["dealias_fraction"])
+            )
             return ObservationRecord(
-                kind=str(z["kind"]),
-                h=float(z["h"]),
-                L=float(z["L"]),
-                nx=int(z["nx"]),
-                ny=int(z["ny"]),
+                spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
                 dt=float(z["dt"]),
                 times=z["times"].copy(),
                 payload1=z["payload1"].copy(),
@@ -324,15 +327,7 @@ class ObservationRecord:
             )
 
     def matches(self, spec: InterpolantSpec, stepper: StepperConfig) -> bool:
-        g = spec.grid
-        return (
-            self.kind == spec.kind
-            and self.h == spec.h
-            and self.L == g.L
-            and self.nx == g.nx
-            and self.ny == g.ny
-            and self.dt == stepper.dt
-        )
+        return self.spec == spec and self.dt == stepper.dt
 
 
 class _StepObservations(dict):
@@ -443,7 +438,7 @@ def _lock_step(
 def _truth_key(cfg: TwinConfig, spun_up: bool) -> tuple:
     """What fixes the truth trajectory; spun_up adds the spin-up inputs."""
     p = cfg.params
-    key = (cfg.spec.grid, p.nu, p.kappa, p.L, cfg.stepper, cfg.run_time)
+    key = (cfg.spec.grid, p.nu, p.kappa, cfg.stepper, cfg.run_time)
     return key + ((cfg.spinup_time, cfg.seed) if spun_up else ())
 
 
@@ -461,7 +456,7 @@ def run_twin(
     returns a list in config order holding each copy's TwinResult, or the
     exception that stopped that copy (an exception in the truth stops
     every copy still running).  Each entry is bit-identical to the
-    single-config run.  The configs must agree on the grid, nu, kappa, L,
+    single-config run.  The configs must agree on the grid, nu, kappa,
     stepper and run_time, and without truth0 on spinup_time and seed.
 
     truth0 skips the spin-up (a reloaded checkpoint, typically); v0 and
@@ -480,7 +475,7 @@ def run_twin(
     key = _truth_key(first, truth0 is None)
     if any(_truth_key(c, truth0 is None) != key for c in configs):
         raise ValueError(
-            "configs of one run must agree on the grid, nu, kappa, L, stepper"
+            "configs of one run must agree on the grid, nu, kappa, stepper"
             " and run_time (and spinup_time and seed without truth0)"
         )
     g = first.spec.grid
@@ -520,18 +515,8 @@ def run_twin(
     if single and copies[0].failure is not None:
         raise copies[0].failure
     if record_to is not None:
-        times, payload1, payload2 = map(np.array, zip(*copies[0].fed))
-        ObservationRecord(
-            kind=first.spec.kind,
-            h=first.spec.h,
-            L=g.L,
-            nx=g.nx,
-            ny=g.ny,
-            dt=first.stepper.dt,
-            times=times,
-            payload1=payload1,
-            payload2=payload2,
-        ).save(record_to)
+        stream = map(np.array, zip(*copies[0].fed))  # times, payload1, payload2
+        ObservationRecord(first.spec, first.stepper.dt, *stream).save(record_to)
 
     results = [
         c.failure or TwinResult(*c.acc.build(), truth, c.state) for c in copies

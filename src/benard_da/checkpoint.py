@@ -1,14 +1,16 @@
 """Binary state checkpoints.
 
-Layout: an 8-byte magic string, a uint32 format version, grid dims and
-dealias fraction, the physical parameters, the state time, the seed, and
-a history flag, followed by the coefficient arrays (u1, u2, theta) as
-little-endian complex pairs of 64-bit floats in declared order, each the
-rows n = 0 .. nx/2 of the half spectrum, shape (nx/2 + 1, ny + 1).  When
-the flag is set, the stepper history (three tendency arrays of that shape
-and its dt) follows, so a resumed run reproduces an uninterrupted one bit
-for bit.  Resuming takes the dt the history was made with; the stepper
-refuses any other.  Version 1 files held all nx rows; they are refused.
+Layout: an 8-byte magic string, a uint32 format version, the grid (nx,
+ny, dealias fraction, L), the physical parameters (nu, kappa, mu), the
+state time, the seed, and a history flag, followed by the coefficient
+arrays (u1, u2, theta) as little-endian complex pairs of 64-bit floats in
+declared order, each the rows n = 0 .. nx/2 of the half spectrum, shape
+(nx/2 + 1, ny + 1).  When the flag is set, the stepper history (three
+tendency arrays of that shape and its dt) follows, so a resumed run
+reproduces an uninterrupted one bit for bit.  Resuming takes the dt the
+history was made with; the stepper refuses any other.  Version 1 files
+held all nx rows and version 2 headers also held the observation spacing
+h; both are refused.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .stepping import History
 __all__ = ["MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"BENARDDA"
-VERSION = 2
+VERSION = 3
 
-_HEADER = struct.Struct("<8sIII7dqB")  # magic, version, nx, ny, floats, seed, flag
+_HEADER = struct.Struct("<8sIII6dqB")  # magic, version, nx, ny, floats, seed, flag
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ def save_checkpoint(
         params.nu,
         params.kappa,
         params.mu,
-        params.h,
         state.time,
         seed,
         1 if history is not None else 0,
@@ -97,7 +98,6 @@ def load_checkpoint(path) -> Checkpoint:
         nu,
         kappa,
         mu,
-        h,
         time,
         seed,
         flag,
@@ -128,5 +128,5 @@ def load_checkpoint(path) -> Checkpoint:
     if flag:
         (hdt,) = struct.unpack_from("<d", blob, _HEADER.size + 6 * nbytes)
         history = History(arr(3), arr(4), arr(5), hdt)
-    params = PhysicalParams(nu=nu, kappa=kappa, L=L, mu=mu, h=h)
+    params = PhysicalParams(nu=nu, kappa=kappa, mu=mu)
     return Checkpoint(params=params, state=state, seed=seed, history=history)

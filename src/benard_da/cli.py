@@ -113,7 +113,7 @@ def _fit_manifest(series, run_time: float) -> dict:
 
 def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
     grid = cfg.grid()
-    lambda1 = stokes_smallest_eigenvalue(grid, "velocity")
+    lambda1 = stokes_smallest_eigenvalue(grid)
     report = uniform_bounds(cfg.nu, cfg.kappa, cfg.L, lambda1)
     c1 = estimate_ladyzhenskaya_constant(
         grid, sample_count=200, rng=np.random.default_rng([cfg.seed, 101])
@@ -140,7 +140,6 @@ def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
 
 
 def cmd_spinup(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     stepper = cfg.stepper()
     running_k3 = [0.0]
 
@@ -163,7 +162,8 @@ def cmd_spinup(cfg: RunConfig) -> int:
         observers=((every, report),),
     )
     report(state)
-    path = out / "truth.ckpt"
+    # made only now, so that a refused run leaves no empty directory behind
+    path = _out_dir(cfg) / "truth.ckpt"
     save_checkpoint(path, state, cfg.physical_params(), cfg.seed, history=history)
     print(f"checkpoint written to {path}")
     return EXIT_OK
@@ -177,7 +177,7 @@ def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
         raise ConfigError(
             f"checkpoint grid {ck.state.grid} does not match the configured grid"
         )
-    for name in ("nu", "kappa", "L"):
+    for name in ("nu", "kappa"):
         if getattr(ck.params, name) != getattr(cfg, name):
             raise ConfigError(
                 f"checkpoint {name}={getattr(ck.params, name)} does not match "
@@ -339,7 +339,7 @@ def _validate_checks() -> List[Tuple[str, bool, str]]:
     )
 
     grid = Grid(2.0, 32, 16)
-    params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0)
+    params = PhysicalParams(nu=0.03, kappa=0.03)
     rng = np.random.default_rng(0)
     s0 = State(
         random_solenoidal(grid, rng, norm=0.5), random_scalar(grid, rng, SIN, norm=0.5)

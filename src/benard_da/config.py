@@ -62,14 +62,15 @@ class RunConfig:
             raise ConfigError(
                 f"interpolant_kind must be one of {KINDS}, got {self.interpolant_kind!r}"
             )
+        # the checkpoint header stores the seed as a signed 64-bit integer
+        if not (0 <= self.seed < 2**63):
+            raise ConfigError(f"seed must lie in [0, 2**63 - 1], got {self.seed}")
 
     def grid(self) -> Grid:
         return Grid(self.L, self.nx, self.ny, self.dealias_fraction)
 
     def physical_params(self) -> PhysicalParams:
-        return PhysicalParams(
-            nu=self.nu, kappa=self.kappa, L=self.L, mu=self.mu, h=self.h
-        )
+        return PhysicalParams(nu=self.nu, kappa=self.kappa, mu=self.mu)
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(dt=self.dt)

@@ -58,7 +58,7 @@ class ManufacturedCase:
 
     @property
     def params(self) -> PhysicalParams:
-        return PhysicalParams(nu=self.nu, kappa=self.kappa, L=self.grid.L)
+        return PhysicalParams(nu=self.nu, kappa=self.kappa)
 
     def _mesh(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
@@ -146,7 +146,7 @@ def rhs_truth(
     s: State, p: PhysicalParams, forcing: Optional[Forcing] = None
 ) -> Tuple[VectorField, SpectralField]:
     """Full tendency of the reference system at the state's instant."""
-    vec, sc = explicit_rhs(s, p, forcing)
+    vec, sc = explicit_rhs(s, forcing)
     lam = s.grid.lam
     return vec - s.velocity * (p.nu * lam), sc - s.temperature * (p.kappa * lam)
 

@@ -45,21 +45,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Dimensionless coefficients: viscosity, diffusivity, period, nudging, spacing."""
+    """Dimensionless coefficients: viscosity nu, diffusivity kappa and the
+    nudging strength mu.
+
+    The period L belongs to the Grid and the observation spacing h to the
+    observations.InterpolantSpec; neither is repeated here.
+    """
 
     nu: float
     kappa: float
-    L: float
     mu: float = 0.0
-    h: float = 0.25
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0 and self.kappa > 0 and self.L > 0):
-            raise ValueError("nu, kappa and L must be positive")
+        if not (self.nu > 0 and self.kappa > 0):
+            raise ValueError("nu and kappa must be positive")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
-        if not (self.h > 0):
-            raise ValueError("h must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +133,7 @@ def temperature_tendency(u: VectorField, theta: SpectralField) -> SpectralField:
 
 
 def explicit_rhs(
-    s: State, p: PhysicalParams, forcing: Optional[Forcing] = None
+    s: State, forcing: Optional[Forcing] = None
 ) -> Tuple[VectorField, SpectralField]:
     """All tendency terms handled explicitly by the steppers (no diffusion).
 

@@ -530,16 +530,14 @@ def random_solenoidal(
 # spectra of the dissipative operators
 
 
-def stokes_smallest_eigenvalue(grid: Grid, space: str) -> float:
+def stokes_smallest_eigenvalue(grid: Grid) -> float:
     """Smallest Laplacian eigenvalue over retained admissible modes.
 
-    space='temperature': sin-parity scalars, modes m >= 1.
-    space='velocity': divergence-free pairs; all admissible modes have
-    m >= 1 (m = 0 columns are pure gradients for n != 0 and the gauged mean
-    flow for n = 0), paired per (n, m) with the same eigenvalue.
+    One value serves both spaces.  Sin-parity temperatures use the modes
+    m >= 1.  Divergence-free velocities use the same modes: m = 0 columns
+    are pure gradients for n != 0 and the gauged mean flow for n = 0, and
+    each admissible (n, m) pairs its two components at one eigenvalue.
     """
-    if space not in ("velocity", "temperature"):
-        raise ValueError(f"unknown space {space!r}")
     m = np.arange(grid.ny + 1)[None, :]
     sel = grid.dealias_mask & (m >= 1) & (m <= grid.ny - 1)
     return float(grid.lam[sel].min())

@@ -184,7 +184,7 @@ def step(
     g, dt = s.grid, cfg.dt
     if history is not None and history.dt != dt:
         raise ValueError(f"history was made with dt={history.dt}, not dt={dt}")
-    vec, sc = explicit_rhs(s, p, forcing)
+    vec, sc = explicit_rhs(s, forcing)
     # u1, u2 and theta advance as one (3, nx/2 + 1, ny + 1) stack; the
     # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
     x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])

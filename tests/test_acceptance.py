@@ -80,8 +80,8 @@ RUN_TIME = 20.0
 CADENCE = 10
 SEED = 0
 
-PARAMS = PhysicalParams(nu=NU, kappa=KAPPA, L=L, mu=MU, h=H)
-CONTROL = PhysicalParams(nu=NU, kappa=KAPPA, L=L, mu=0.0, h=H)
+PARAMS = PhysicalParams(nu=NU, kappa=KAPPA, mu=MU)
+CONTROL = PhysicalParams(nu=NU, kappa=KAPPA, mu=0.0)
 
 WALLS = {}
 
@@ -90,7 +90,7 @@ WALLS = {}
 def calibrated_truth():
     t0 = time.perf_counter()
     state, hist = spin_up(
-        PhysicalParams(nu=NU, kappa=KAPPA, L=L), GRID, STEP, SPINUP_TIME, seed=SEED
+        PhysicalParams(nu=NU, kappa=KAPPA), GRID, STEP, SPINUP_TIME, seed=SEED
     )
     WALLS["spinup"] = time.perf_counter() - t0
     return state, hist
@@ -137,7 +137,7 @@ def test_criterion_1_spectral_correctness():
 def test_criterion_2_structure_preservation():
     t0 = time.perf_counter()
     grid = Grid(2.0, 64, 32)
-    p = PhysicalParams(nu=0.002, kappa=0.002, L=2.0)
+    p = PhysicalParams(nu=0.002, kappa=0.002)
     cfg = StepperConfig(dt=1e-3)
     rng = np.random.default_rng(7)
     s = State(
@@ -227,7 +227,7 @@ def test_criterion_4_vnorm_convergence(main_run):
 def test_criterion_5_temperature_slaving():
     t0 = time.perf_counter()
     grid = Grid(2.0, 64, 32)
-    p = PhysicalParams(nu=0.002, kappa=0.002, L=2.0)
+    p = PhysicalParams(nu=0.002, kappa=0.002)
     cfg = StepperConfig(dt=1e-3)
     rng = np.random.default_rng(7)
     s = State(
@@ -243,7 +243,7 @@ def test_criterion_5_temperature_slaving():
     series = run_temperature_slaving(
         s, p, cfg, theta_a, theta_b, run_time=20.0, sample_cadence=50
     )
-    lam1 = stokes_smallest_eigenvalue(grid, "temperature")
+    lam1 = stokes_smallest_eigenvalue(grid)
     margin = slaving_contract_margin(series, kappa=p.kappa, lambda1=lam1)
     assert margin <= 1.0 + 1e-10
     wall = time.perf_counter() - t0
@@ -380,7 +380,7 @@ def test_criterion_8_gronwall_certifier(main_run):
 
     # Measured coefficient of the converging twin: certification must be
     # consistent with the observed decay (within the criterion's 20%).
-    lam1 = stokes_smallest_eigenvalue(GRID, "velocity")
+    lam1 = stokes_smallest_eigenvalue(GRID)
     c1 = estimate_ladyzhenskaya_constant(GRID, 200, rng=np.random.default_rng([0, 101]))
     d = main_run.truth_diagnostics
     alpha = decay_coefficient_series(MU, NU, KAPPA, lam1, c1, d.u_v, d.theta_v)

@@ -50,7 +50,7 @@ from benard_da.spectral import (
 from benard_da.stepping import BlowUpError, StepperConfig
 
 GRID = Grid(2.0, 32, 16)
-SUPER = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=40.0, h=0.2)
+SUPER = PhysicalParams(nu=0.03, kappa=0.03, mu=40.0)
 STEP = StepperConfig(dt=2e-3)
 
 
@@ -101,15 +101,6 @@ class TestConfigValidation:
     def test_spinup_nonnegative(self):
         with pytest.raises(ValueError, match="spinup"):
             twin_config(spinup_time=-1.0)
-
-    def test_h_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="disagree"):
-            twin_config(spec=InterpolantSpec(MODAL, 0.25, GRID))
-
-    def test_length_mismatch_rejected(self):
-        bad = PhysicalParams(nu=0.03, kappa=0.03, L=1.0, mu=40.0, h=0.2)
-        with pytest.raises(ValueError, match="L"):
-            twin_config(params=bad)
 
     def test_custom_policy_needs_state(self):
         cfg = twin_config(v0_policy=CUSTOM, spinup_time=0.0)
@@ -211,7 +202,7 @@ class TestRunTwin:
     def test_control_run_keeps_error(self, attractor_state):
         # mu = 0 from a zero initial guess: the error IS the truth, which
         # lives on the attractor and does not decay.
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=0.0, h=0.2)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=0.0)
         cfg = twin_config(params=params, run_time=1.0)
         res = run_twin(cfg, truth0=attractor_state)
         assert res.errors.w_h[-1] > 0.3 * res.errors.w_h[0]
@@ -254,7 +245,7 @@ class TestRunTwin:
         assert f"|{e.field}| = " in str(e)
 
     def test_explicit_kind_converges_too(self, attractor_state):
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=20.0, h=0.2)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=20.0)
         cfg = twin_config(
             params=params,
             spec=InterpolantSpec(VOLUME, 0.2, GRID),
@@ -277,7 +268,7 @@ def assert_same_run(a: TwinResult, b: TwinResult) -> None:
 
 
 def row_config(kind: str, mu: float, h: float, **overrides) -> TwinConfig:
-    params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=mu, h=h)
+    params = PhysicalParams(nu=0.03, kappa=0.03, mu=mu)
     kw = dict(params=params, spec=InterpolantSpec(kind, h, GRID), run_time=0.1)
     kw.update(overrides)
     return twin_config(**kw)
@@ -349,12 +340,13 @@ class TestSharedTruth:
 class TestObservationReplay:
     @pytest.mark.parametrize("kind,mu", [(MODAL, 40.0), (VOLUME, 20.0), (NODAL, 20.0)])
     def test_replay_reproduces_live_run_exactly(self, tmp_path, kind, mu):
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=mu, h=0.2)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=mu)
         spec = InterpolantSpec(kind, 0.2, GRID)
         cfg = twin_config(params=params, spec=spec, run_time=0.2, spinup_time=1.0)
         path = tmp_path / "obs.npz"
         live = run_twin(cfg, record_to=path)
         rec = ObservationRecord.load(path)
+        assert rec.spec == spec and rec.dt == STEP.dt
         final, times, residuals = run_from_record(rec, params, spec, STEP)
         assert np.array_equal(
             final.velocity.u1.coeffs, live.assimilated_final.velocity.u1.coeffs
@@ -377,12 +369,53 @@ class TestObservationReplay:
         with pytest.raises(ValueError, match="match"):
             run_from_record(rec, SUPER, spec, other)
 
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME])
+    def test_record_from_another_dealias_fraction_refused_before_any_step(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # the observed data have the same shape on both grids; only the
+        # record's spec tells them apart
+        grid = Grid(2.0, 16, 8)
+        spec = InterpolantSpec(kind, 0.2, grid)
+        cfg = twin_config(spec=spec, run_time=0.02, spinup_time=0.0)
+        path = tmp_path / "obs.npz"
+        run_twin(cfg, record_to=path)
+        rec = ObservationRecord.load(path)
+        assert rec.spec.grid.dealias_fraction == 2.0 / 3.0
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before refusing the record")
+
+        monkeypatch.setattr(assimilation, "step", no_step)
+        other = InterpolantSpec(kind, 0.2, Grid(2.0, 16, 8, dealias_fraction=0.5))
+        with pytest.raises(ValueError, match="match"):
+            run_from_record(rec, SUPER, other, STEP)
+
+    def test_record_without_dealias_fraction_refused_before_any_step(
+        self, tmp_path, monkeypatch
+    ):
+        spec = InterpolantSpec(MODAL, 0.2, GRID)
+        cfg = twin_config(run_time=0.02, spinup_time=0.0)
+        path = tmp_path / "obs.npz"
+        run_twin(cfg, record_to=path)
+        with np.load(path) as z:
+            kept = {k: z[k] for k in z.files if k != "dealias_fraction"}
+        older = tmp_path / "older.npz"
+        np.savez_compressed(older, **kept)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before refusing the record")
+
+        monkeypatch.setattr(assimilation, "step", no_step)
+        with pytest.raises(ValueError, match="lacks dealias_fraction"):
+            run_from_record(ObservationRecord.load(older), SUPER, spec, STEP)
+
 
     @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])
     def test_mu_zero_stream_is_recorded_and_replayed(self, tmp_path, kind):
         # every fed step is recorded whatever mu, so the unnudged copy's
         # replay takes every step too
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=0.0, h=0.2)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=0.0)
         spec = InterpolantSpec(kind, 0.2, GRID)
         cfg = twin_config(
             params=params, spec=spec, run_time=0.04, spinup_time=0.5,
@@ -408,7 +441,7 @@ class TestObservationReplay:
         # force is exactly zero), to round-off for the implicit modal form.
         # The wrong side of the step would see a whole step of motion.
         truth0, _ = spin_up(SUPER, GRID, STEP, 2.0, seed=3)
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=30.0, h=0.25)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=30.0)
         spec = InterpolantSpec(kind, 0.25, GRID)
         cfg = twin_config(
             params=params, spec=spec, run_time=0.04, spinup_time=0.0,
@@ -431,7 +464,7 @@ class TestObservationReplay:
 
     @pytest.mark.parametrize("kind", [MODAL, VOLUME])
     def test_malformed_record_refused_before_any_step(self, tmp_path, monkeypatch, kind):
-        params = PhysicalParams(nu=0.03, kappa=0.03, L=2.0, mu=20.0, h=0.2)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=20.0)
         spec = InterpolantSpec(kind, 0.2, GRID)
         cfg = twin_config(params=params, spec=spec, run_time=0.02, spinup_time=0.0)
         path = tmp_path / "obs.npz"
@@ -540,7 +573,7 @@ class TestTemperatureSlaving:
     def test_resting_carrier_decays_at_conduction_rate(self):
         # Gravest-mode gap with u = 0: the contract is an equality, and the
         # fitted rate must match 2 kappa pi^2 to the scheme's accuracy.
-        params = PhysicalParams(nu=0.05, kappa=0.05, L=2.0, mu=0.0, h=0.25)
+        params = PhysicalParams(nu=0.05, kappa=0.05, mu=0.0)
         ta = real_mode(GRID, SIN, 0, 1, amplitude=1.0)
         tb = SpectralField.zeros(GRID, SIN)
         series = run_temperature_slaving(

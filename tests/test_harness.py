@@ -88,6 +88,24 @@ class TestConfig:
         cfg = small_config(seed=seed)
         assert parse(dumps(cfg)) == cfg
 
+    @pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "2**63"])
+    def test_seed_outside_checkpoint_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            parse(f"seed = {seed}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=seed)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        seed = 2**63 - 1
+        cfg = small_config(
+            nx=8, ny=8, spinup_time=0.01, seed=seed, output_dir=str(tmp_path)
+        )
+        assert parse(dumps(cfg)) == cfg
+        path = tmp_path / "run.cfg"
+        save(cfg, path)
+        assert main(["spinup", "--config", str(path)]) == EXIT_OK
+        assert load_checkpoint(tmp_path / "truth.ckpt").seed == seed
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="interpolant_kind"):
             parse("interpolant_kind = fourier\n")
@@ -130,7 +148,7 @@ class TestCheckpoint:
 
     def test_round_trip_bit_exact(self, tmp_path):
         s = self.make_state()
-        p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0, mu=17.0, h=0.3)
+        p = PhysicalParams(nu=0.04, kappa=0.02, mu=17.0)
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, s, p, seed=42)
         ck = load_checkpoint(path)
@@ -145,7 +163,7 @@ class TestCheckpoint:
 
     def test_history_trailer_round_trips(self, tmp_path):
         s = self.make_state()
-        p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0)
+        p = PhysicalParams(nu=0.04, kappa=0.02)
         rng = np.random.default_rng(4)
         shape = s.grid.coeff_shape
         hist = History(
@@ -163,11 +181,12 @@ class TestCheckpoint:
         assert np.array_equal(ck.history.e_u2, hist.e_u2)
         assert np.array_equal(ck.history.e_th, hist.e_th)
 
-    @pytest.mark.parametrize("version", [VERSION - 1, VERSION + 1])
+    @pytest.mark.parametrize("version", [VERSION - 2, VERSION - 1, VERSION + 1])
     def test_version_mismatch_rejected(self, tmp_path, version):
-        # VERSION - 1 held all nx coefficient rows; the message names both
+        # version 1 held all nx coefficient rows and version 2 also held h
+        # in the header; the message names both versions
         s = self.make_state()
-        p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0)
+        p = PhysicalParams(nu=0.04, kappa=0.02)
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, s, p, seed=0)
         blob = bytearray(path.read_bytes())
@@ -184,7 +203,7 @@ class TestCheckpoint:
 
     def test_truncated_file_rejected(self, tmp_path):
         s = self.make_state()
-        p = PhysicalParams(nu=0.04, kappa=0.02, L=2.0)
+        p = PhysicalParams(nu=0.04, kappa=0.02)
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, s, p, seed=0)
         blob = path.read_bytes()
@@ -194,7 +213,7 @@ class TestCheckpoint:
 
     def test_magic_is_stable(self):
         assert MAGIC == b"BENARDDA"
-        assert VERSION == 2
+        assert VERSION == 3
 
 
 class TestSpinupCommand:
@@ -232,11 +251,24 @@ class TestSpinupCommand:
         ids=["dt=inf", "spinup_time=inf", "partial-step"],
     )
     def test_bad_step_or_length_exits_2_without_checkpoint(self, tmp_path, overrides):
-        cfg = small_config(output_dir=str(tmp_path), **overrides)
+        out = tmp_path / "out"
+        cfg = small_config(output_dir=str(out), **overrides)
         p = tmp_path / "run.cfg"
         save(cfg, p)
         assert main(["spinup", "--config", str(p)]) == EXIT_CONFIG
-        assert not (tmp_path / "truth.ckpt").exists()
+        # not even an empty output directory is left behind
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)], ids=["negative", "2**63"])
+    def test_seed_override_refused_before_any_step(self, tmp_path, monkeypatch, seed):
+        def no_spin_up(*args, **kwargs):
+            raise AssertionError("spun up before refusing the seed")
+
+        monkeypatch.setattr(cli, "spin_up", no_spin_up)
+        out = tmp_path / "out"
+        argv = ["spinup", "--seed", seed, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_reload_continues_bit_exactly(self, tmp_path):
         cfg = small_config(spinup_time=0.5)

@@ -43,7 +43,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def params():
-    return PhysicalParams(nu=0.5, kappa=0.25, L=L)
+    return PhysicalParams(nu=0.5, kappa=0.25)
 
 
 def _vector_from_stream(grid, psi_expr, x, y):
@@ -62,15 +62,11 @@ def _vector_from_stream(grid, psi_expr, x, y):
 class TestValidation:
     def test_params_positive(self):
         with pytest.raises(ValueError):
-            PhysicalParams(nu=0.0, kappa=1.0, L=1.0)
+            PhysicalParams(nu=0.0, kappa=1.0)
         with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, kappa=-1.0, L=1.0)
+            PhysicalParams(nu=1.0, kappa=-1.0)
         with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, kappa=1.0, L=0.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, kappa=1.0, L=1.0, mu=-2.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(nu=1.0, kappa=1.0, L=1.0, h=0.0)
+            PhysicalParams(nu=1.0, kappa=1.0, mu=-2.0)
 
     def test_state_requires_sine_temperature(self, grid):
         with pytest.raises(ValueError):
@@ -106,13 +102,13 @@ class TestFixedPoint:
         expected = -params.kappa * np.pi**2 * th.coeffs
         assert np.abs(dth.coeffs - expected).max() < 1e-15
 
-    def test_buoyancy_matches_per_mode_projector(self, grid, params):
+    def test_buoyancy_matches_per_mode_projector(self, grid):
         # Independent oracle: 2x2 orthogonal projector complementing the
         # gradient direction (i kx, ky) for one mode.  At u = 0 the velocity
         # tendency is the buoyancy P[theta e2] alone.
         n, m = 3, 2
         th = real_mode(grid, "sin", n, m, amplitude=0.7)
-        b, _ = explicit_rhs(State(VectorField.zeros(grid), th), params)
+        b, _ = explicit_rhs(State(VectorField.zeros(grid), th))
         # Pressure modes have cosine parity in y, so the gradient's second
         # component carries -ky.
         ky = grid.ky[m]
@@ -205,13 +201,13 @@ class TestOrthogonality:
         rhs = -inner_h(advection_scalar(u, b), a)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
-    def test_buoyancy_source_adjoint(self, grid, params):
+    def test_buoyancy_source_adjoint(self, grid):
         # (P(theta e2), w) = (theta, w2) for solenoidal w; at u = 0 the
         # velocity tendency is P(theta e2) alone.
         rng = np.random.default_rng(45)
         th = random_scalar(grid, rng, "sin")
         w = random_solenoidal(grid, rng)
-        b, _ = explicit_rhs(State(VectorField.zeros(grid), th), params)
+        b, _ = explicit_rhs(State(VectorField.zeros(grid), th))
         lhs = inner_h(b.u1, w.u1) + inner_h(b.u2, w.u2)
         rhs = inner_h(th, w.u2)
         assert abs(lhs - rhs) < 1e-12 * max(abs(rhs), 1.0)
@@ -231,7 +227,7 @@ class TestTendencyStructure:
         assert np.abs(dv.u2.coeffs[outside]).max() == 0.0
         assert np.abs(dth.coeffs[outside]).max() == 0.0
 
-    def test_forcing_is_added(self, grid, params):
+    def test_forcing_is_added(self, grid):
         rng = np.random.default_rng(6)
         s = State(
             random_solenoidal(grid, rng, norm=0.5),
@@ -243,8 +239,8 @@ class TestTendencyStructure:
         def forcing(t):
             return fv, fth
 
-        d0v, d0t = explicit_rhs(s, params)
-        d1v, d1t = explicit_rhs(s, params, forcing)
+        d0v, d0t = explicit_rhs(s)
+        d1v, d1t = explicit_rhs(s, forcing)
         assert np.abs((d1v.u1.coeffs - d0v.u1.coeffs) - fv.u1.coeffs).max() < 1e-14
         assert np.abs((d1v.u2.coeffs - d0v.u2.coeffs) - fv.u2.coeffs).max() < 1e-14
         assert np.abs((d1t.coeffs - d0t.coeffs) - fth.coeffs).max() < 1e-14

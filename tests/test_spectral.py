@@ -300,15 +300,16 @@ class TestEigenvalues:
         return best
 
     def test_temperature_space_smallest(self):
+        # sin-parity temperatures: every retained mode with m >= 1
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        lam = sp.stokes_smallest_eigenvalue(g, "temperature")
+        lam = sp.stokes_smallest_eigenvalue(g)
         assert lam == pytest.approx(np.pi**2, rel=1e-14)
         assert lam == pytest.approx(self.enumerate_min(2.0, 32, 16), rel=1e-14)
 
     def test_velocity_space_smallest(self):
         """Shear mode u1 = cos(pi y) is admissible and attains pi^2 at L = 2."""
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        assert sp.stokes_smallest_eigenvalue(g, "velocity") == pytest.approx(np.pi**2, rel=1e-14)
+        assert sp.stokes_smallest_eigenvalue(g) == pytest.approx(np.pi**2, rel=1e-14)
 
     def test_large_domain_eigenvalues_non_increasing(self):
         # oracle enumeration gives pi^2 for all of L in {2, 4, 8}: the shear
@@ -316,7 +317,7 @@ class TestEigenvalues:
         vals = []
         for L in (2.0, 4.0, 8.0):
             g = sp.Grid(L=L, nx=32, ny=16)
-            v = sp.stokes_smallest_eigenvalue(g, "velocity")
+            v = sp.stokes_smallest_eigenvalue(g)
             assert v == pytest.approx(self.enumerate_min(L, 32, 16), rel=1e-14)
             vals.append(v)
         assert vals[0] >= vals[1] >= vals[2]
@@ -324,18 +325,10 @@ class TestEigenvalues:
 
     def test_poincare_per_retained_mode(self):
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        lam1 = min(
-            sp.stokes_smallest_eigenvalue(g, "velocity"),
-            sp.stokes_smallest_eigenvalue(g, "temperature"),
-        )
+        lam1 = sp.stokes_smallest_eigenvalue(g)
         m = np.arange(g.ny + 1)[None, :]
         sel = g.dealias_mask & (m >= 1) & (m <= g.ny - 1)
         assert (g.lam[sel] >= lam1).all()
-
-    def test_unknown_space_rejected(self):
-        g = sp.Grid(L=1.0, nx=16, ny=8)
-        with pytest.raises(ValueError):
-            sp.stokes_smallest_eigenvalue(g, "pressure")
 
 
 class TestNormsAndStructure:

@@ -63,7 +63,7 @@ class TestConfig:
 
 class TestDiffusionFactors:
     def test_euler_startup_factor_exact(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         dt = 0.005
         s0 = shear_state(grid)
         s1, _ = step(s0, p, StepperConfig(dt=dt))
@@ -72,7 +72,7 @@ class TestDiffusionFactors:
         assert abs(got - 1.0 / (1.0 + x)) < 1e-15
 
     def test_crank_nicolson_factor_exact(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         dt = 0.005
         cfg = StepperConfig(dt=dt)
         s0 = shear_state(grid)
@@ -86,7 +86,7 @@ class TestDiffusionFactors:
         # CN factor differs from exp(-x) by x^3/12 to leading order; the
         # Euler startup by x^2/2. Both are O(dt^2) with scheme-specific
         # constants; assert with measured margins.
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         dt = 0.005
         x = p.nu * np.pi**2 * dt
         cfg = StepperConfig(dt=dt)
@@ -99,7 +99,7 @@ class TestDiffusionFactors:
         assert abs(eu - np.exp(-x)) < x**2
 
     def test_theta_conduction_matches_exact_decay(self, grid):
-        p = PhysicalParams(nu=1.0, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=1.0, kappa=0.25)
         th = real_mode(grid, "sin", 0, 1)
         s = State(VectorField.zeros(grid), th)
         dt = 0.002
@@ -110,7 +110,7 @@ class TestDiffusionFactors:
         assert abs(final.time - 1.0) < 1e-12
 
     def test_unconditional_stability(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         for dt in (0.1, 10.0, 1e4):
             s = shear_state(grid)
             e0 = norm_h(s.velocity)
@@ -125,19 +125,19 @@ class TestDiffusionFactors:
 
 class TestIntegrate:
     def test_zero_state_stays_zero(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s, _ = integrate(State.zeros(grid), p, StepperConfig(dt=0.01), 0.5)
         assert norm_h(s.velocity) == 0.0
         assert norm_h(s.temperature) == 0.0
 
     def test_t_end_equal_returns_same_state(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s0 = shear_state(grid)
         s, _ = integrate(s0, p, StepperConfig(dt=0.01), 0.0)
         assert s is s0
 
     def test_t_end_in_past_rejected(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         rng = np.random.default_rng(0)
         s0 = State(random_solenoidal(grid, rng), random_scalar(grid, rng, "sin"))
         s1, _ = integrate(s0, p, StepperConfig(dt=0.01), 0.1)
@@ -150,7 +150,7 @@ class TestIntegrate:
     def test_composition_bit_exact(self, grid, t0, half):
         # Far from t = 0 the rounded times t0 + k dt miss t0 + 2 half by a
         # few ulps; every run still takes whole steps of exactly dt.
-        p = PhysicalParams(nu=0.05, kappa=0.05, L=2.0)
+        p = PhysicalParams(nu=0.05, kappa=0.05)
         rng = np.random.default_rng(3)
         s0 = State(
             random_solenoidal(grid, rng, norm=0.5),
@@ -173,7 +173,7 @@ class TestIntegrate:
         assert np.array_equal(hb.e_th, hc.e_th)
 
     def test_determinism(self, grid):
-        p = PhysicalParams(nu=0.05, kappa=0.05, L=2.0)
+        p = PhysicalParams(nu=0.05, kappa=0.05)
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(11)
@@ -187,7 +187,7 @@ class TestIntegrate:
         assert np.array_equal(outs[0].temperature.coeffs, outs[1].temperature.coeffs)
 
     def test_observer_cadence(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s0 = shear_state(grid)
         seen = []
         integrate(s0, p, StepperConfig(dt=0.01), 0.1, observers=[(2, seen.append)])
@@ -196,7 +196,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("t_end", [0.0031, np.inf, np.nan])
     def test_length_not_whole_steps_rejected_before_stepping(self, grid, t_end):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         seen = []
         with pytest.raises(ValueError, match="whole multiple"):
             integrate(
@@ -207,7 +207,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("every", [0, -2])
     def test_non_positive_observer_period_rejected_before_stepping(self, grid, every):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         seen = []
         with pytest.raises(ValueError, match="observer period"):
             integrate(
@@ -217,7 +217,7 @@ class TestIntegrate:
         assert seen == []
 
     def test_divergence_free_preserved(self, grid):
-        p = PhysicalParams(nu=0.05, kappa=0.05, L=2.0)
+        p = PhysicalParams(nu=0.05, kappa=0.05)
         rng = np.random.default_rng(12)
         s0 = State(
             random_solenoidal(grid, rng, norm=0.8),
@@ -229,7 +229,7 @@ class TestIntegrate:
 
 class TestBlowUp:
     def test_blow_up_detected_with_time(self, grid):
-        p = PhysicalParams(nu=1e-8, kappa=1e-8, L=2.0)
+        p = PhysicalParams(nu=1e-8, kappa=1e-8)
         rng = np.random.default_rng(13)
         s0 = State(
             random_solenoidal(grid, rng, norm=1e11),
@@ -253,7 +253,7 @@ class TestBlowUp:
 
 class TestNudgingHooks:
     def test_explicit_force_dt_guard(self, grid):
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s = shear_state(grid)
         nd = NudgingStep(mu=100.0, force=VectorField.zeros(grid))
         with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ class TestNudgingHooks:
     def test_history_of_another_dt_refused(self, grid):
         # a saved history can meet a stepper of another dt; AB2 with the
         # constant weights would silently be wrong there
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s = shear_state(grid)
         _, hist = step(s, p, StepperConfig(dt=0.01))
         assert hist.dt == 0.01
@@ -274,7 +274,7 @@ class TestNudgingHooks:
 
     def test_implicit_nudging_damps_observed_mode(self, grid):
         # Truth zero, observations zero: observed modes feel 1/(1 + mu dt).
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         s = shear_state(grid)
         mu, dt = 200.0, 0.01
         mask = np.ones(grid.coeff_shape)
@@ -289,7 +289,7 @@ class TestNudgingHooks:
     def test_implicit_nudging_keeps_synchronized_twin(self, grid):
         # Assimilated state equal to truth, fed end-of-step truth
         # observations: the pair stays synchronized to round-off.
-        p = PhysicalParams(nu=0.05, kappa=0.05, L=2.0)
+        p = PhysicalParams(nu=0.05, kappa=0.05)
         rng = np.random.default_rng(14)
         truth = State(
             random_solenoidal(grid, rng, norm=0.8),
@@ -327,7 +327,7 @@ class TestRealityPreservation:
         # real.  The explicit tendencies are dealiased away from the
         # Nyquist row, so it follows its own linear per-mode dynamics
         # (diffusion and buoyancy) and matches a run of it alone.
-        p = PhysicalParams(nu=0.005, kappa=0.005, L=2.0)
+        p = PhysicalParams(nu=0.005, kappa=0.005)
         rng = np.random.default_rng(7)
         s = State(
             random_solenoidal(grid, rng, norm=0.01),
@@ -359,7 +359,7 @@ class TestRealityPreservation:
         # Coefficient arrays with imaginary parts in rows 0 and nx/2 carry
         # no real-field content: the fields drop them on construction, so
         # one step from them is bit for bit the step from the real rows.
-        p = PhysicalParams(nu=0.1, kappa=0.1, L=2.0)
+        p = PhysicalParams(nu=0.1, kappa=0.1)
         rng = np.random.default_rng(11)
         s = State(
             random_solenoidal(grid, rng, norm=0.5),
@@ -384,7 +384,7 @@ class TestScalarStep:
     def test_matches_full_step_temperature(self, grid):
         # The scalar stepper must reproduce the full step's temperature
         # update bit for bit when given the same frozen carrier.
-        p = PhysicalParams(nu=0.5, kappa=0.25, L=2.0)
+        p = PhysicalParams(nu=0.5, kappa=0.25)
         rng = np.random.default_rng(15)
         s = State(
             random_solenoidal(grid, rng, norm=0.7),
