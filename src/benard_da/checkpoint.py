@@ -5,12 +5,12 @@ ny, dealias fraction, L), the physical parameters (nu, kappa, mu), the
 state time, the seed, and a history flag, followed by the coefficient
 arrays (u1, u2, theta) as little-endian complex pairs of 64-bit floats in
 declared order, each the rows n = 0 .. nx/2 of the half spectrum, shape
-(nx/2 + 1, ny + 1).  When the flag is set, the stepper history (three
-tendency arrays of that shape and its dt) follows, so a resumed run
-reproduces an uninterrupted one bit for bit.  Resuming takes the dt the
-history was made with; the stepper refuses any other.  Version 1 files
-held all nx rows and version 2 headers also held the observation spacing
-h; both are refused.
+(nx/2 + 1, ny + 1).  When the flag is set, the stepper history (its
+(3, nx/2 + 1, ny + 1) tendency stack, u1, u2 and theta in that order,
+and its dt) follows, so a resumed run reproduces an uninterrupted one
+bit for bit.  Resuming takes the dt the history was made with; the
+stepper refuses any other.  Version 1 files held all nx rows and version
+2 headers also held the observation spacing h; both are refused.
 """
 
 from __future__ import annotations
@@ -75,12 +75,7 @@ def save_checkpoint(
         _array_bytes(state.temperature.coeffs),
     ]
     if history is not None:
-        chunks += [
-            _array_bytes(history.e_u1),
-            _array_bytes(history.e_u2),
-            _array_bytes(history.e_th),
-            struct.pack("<d", history.dt),
-        ]
+        chunks += [_array_bytes(history.tendencies), struct.pack("<d", history.dt)]
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -114,19 +109,23 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) != expected:
         raise ValueError(f"checkpoint holds {len(blob)} bytes, expected {expected}")
 
-    def arr(i: int) -> np.ndarray:
+    def stack(i: int) -> np.ndarray:
+        """Arrays i, i + 1 and i + 2 as one (3, nx/2 + 1, ny + 1) stack."""
         start = _HEADER.size + i * nbytes
-        flat = np.frombuffer(blob, dtype="<c16", count=count, offset=start)
-        return flat.reshape(shape).copy()
+        flat = np.frombuffer(blob, dtype="<c16", count=3 * count, offset=start)
+        return flat.reshape((3,) + shape).copy()
 
+    u1, u2, theta = stack(0)
     state = State(
-        VectorField(SpectralField(grid, COS, arr(0)), SpectralField(grid, SIN, arr(1))),
-        SpectralField(grid, SIN, arr(2)),
+        VectorField(SpectralField(grid, COS, u1), SpectralField(grid, SIN, u2)),
+        SpectralField(grid, SIN, theta),
         time,
     )
     history = None
     if flag:
         (hdt,) = struct.unpack_from("<d", blob, _HEADER.size + 6 * nbytes)
-        history = History(arr(3), arr(4), arr(5), hdt)
+        tendencies = stack(3)
+        tendencies.flags.writeable = False
+        history = History(tendencies, hdt)
     params = PhysicalParams(nu=nu, kappa=kappa, mu=mu)
     return Checkpoint(params=params, state=state, seed=seed, history=history)

@@ -171,7 +171,6 @@ def cmd_spinup(cfg: RunConfig) -> int:
 
 def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
     twin_cfg = cfg.twin_config()
-    out = _out_dir(cfg)
     ck = load_checkpoint(ckpt_path)
     if ck.state.grid != cfg.grid():
         raise ConfigError(
@@ -183,6 +182,8 @@ def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
                 f"checkpoint {name}={getattr(ck.params, name)} does not match "
                 f"config {name}={getattr(cfg, name)}"
             )
+    # made only after every refusal, so that none leaves an empty directory
+    out = _out_dir(cfg)
     started = time.perf_counter()
     result = run_twin(twin_cfg, truth0=ck.state)
     wall = time.perf_counter() - started
@@ -274,12 +275,13 @@ def _sweep_chunk(
 
 def cmd_sweep(cfg: RunConfig, workers: int) -> int:
     cfg.twin_config()  # a config every row would reject fails before the spin-up
-    out = _out_dir(cfg)
     mu_list = cfg.sweep_mu or (cfg.mu,)
     h_list = cfg.sweep_h or (cfg.h,)
     truth0, _ = spin_up(
         cfg.physical_params(), cfg.grid(), cfg.stepper(), cfg.spinup_time, seed=cfg.seed
     )
+    # made only after every refusal, so that none leaves an empty directory
+    out = _out_dir(cfg)
     pairs = [(mu, h) for mu in mu_list for h in h_list]
     # one contiguous chunk per worker; each chunk integrates its own truth
     n = min(workers, len(pairs))

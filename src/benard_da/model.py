@@ -15,6 +15,7 @@ identities exact to round-off and the wall conditions structural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -46,7 +47,7 @@ __all__ = [
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensionless coefficients: viscosity nu, diffusivity kappa and the
-    nudging strength mu.
+    nudging strength mu; nu and kappa positive, mu non-negative, all finite.
 
     The period L belongs to the Grid and the observation spacing h to the
     observations.InterpolantSpec; neither is repeated here.
@@ -57,10 +58,13 @@ class PhysicalParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0 and self.kappa > 0):
-            raise ValueError("nu and kappa must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        for name in ("nu", "kappa"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
+        if not (0 <= self.mu < math.inf):
+            raise ValueError(f"mu must be non-negative and finite, got {self.mu}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,6 +49,7 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
+    _adopt,
     analyze,
     leray_project,
     norm_h,
@@ -186,7 +187,7 @@ def _expand(data: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralFie
         iy = iyc if parity == COS else iys
         coeffs = (ix.conj().T @ data @ iy) / g.weight[None, :]
         coeffs = np.where(g.dealias_mask, coeffs, 0.0)
-    return SpectralField(g, parity, coeffs)
+    return _adopt(g, parity, coeffs)
 
 
 def measure(u: VectorField, spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:

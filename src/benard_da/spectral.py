@@ -20,12 +20,14 @@ identically and sin(ny pi y) vanishes at every collocation point, so
 neither is representable; dropping them is the Galerkin truncation onto
 the representable band.
 
-synthesize() copies the rows into one buffer for a real inverse FFT in
-x; analyze() keeps the rows of a real FFT in x.  Both transforms take a
-batch: synthesize() a sequence of fields of either parity (one DCT-I for
-the cos group, one DST-I for the sin group, one inverse real FFT for
-all), analyze() a (K, nx, ny + 1) stack of values of one parity.  A
-batch gives the same bits as the same fields one by one.
+synthesize() copies the rows into a buffer that each thread reuses for
+its grid and batch size, runs a real inverse FFT in x and returns a
+fresh array; analyze() keeps the rows of a real FFT in x.  Both
+transforms take a batch: synthesize() a sequence of fields of either
+parity (one DCT-I for the cos group, one DST-I for the sin group, one
+inverse real FFT for all), analyze() a (K, nx, ny + 1) stack of values
+of one parity.  A batch gives the same bits as the same fields one by
+one.
 
 Collocation points are x_i = i L / nx and y_j = j / ny (walls included).
 A velocity field pairs a cos-parity u1 with a sin-parity u2, so the
@@ -39,13 +41,15 @@ Arithmetic is linear on the coefficients: a + b, a - b and -a combine
 fields of one grid and parity (a VectorField componentwise), and a * s,
 s * a and a / s scale by a number or a broadcastable array.  Every
 result goes through the constructor, so it is a new frozen field with
-clean sine columns.  Combining different grids or parities raises
-ValueError; a field times a field, or a field plus anything but a like
-field, raises TypeError.
+clean sine columns; an array the package has just computed becomes the
+field's coefficients without a copy.  Combining different grids or
+parities raises ValueError; a field times a field, or a field plus
+anything but a like field, raises TypeError.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Union
@@ -165,7 +169,10 @@ class SpectralField:
 
     Construction copies the coefficients, zeroes the imaginary part of
     the self-conjugate rows (n = 0 and nx/2) and the structurally absent
-    sine columns (m = 0 and m = ny), and freezes the array.  Operations
+    sine columns (m = 0 and m = ny), and freezes the array.  Inside the
+    package, results that nothing else references (arithmetic, calculus,
+    transforms, projections, steps) are adopted instead of copied: they
+    take the same clean-up and freeze, on their own memory.  Operations
     return new fields; instances are immutable values compared by identity.
     """
 
@@ -176,7 +183,10 @@ class SpectralField:
     def __post_init__(self) -> None:
         if self.parity not in (COS, SIN):
             raise ValueError(f"parity must be 'cos' or 'sin', got {self.parity!r}")
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
+        if isinstance(self.coeffs, _Fresh):
+            c = np.asarray(self.coeffs.array, dtype=np.complex128)
+        else:
+            c = np.array(self.coeffs, dtype=np.complex128, copy=True)
         if c.shape != self.grid.coeff_shape:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match grid"
@@ -209,31 +219,31 @@ class SpectralField:
         if not isinstance(other, SpectralField):
             return NotImplemented
         self._check_like(other)
-        return SpectralField(self.grid, self.parity, self.coeffs + other.coeffs)
+        return _adopt(self.grid, self.parity, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if not isinstance(other, SpectralField):
             return NotImplemented
         self._check_like(other)
-        return SpectralField(self.grid, self.parity, self.coeffs - other.coeffs)
+        return _adopt(self.grid, self.parity, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, self.parity, -self.coeffs)
+        return _adopt(self.grid, self.parity, -self.coeffs)
 
     def __mul__(self, scale) -> "SpectralField":
         if _is_field(scale):
             return NotImplemented
-        return SpectralField(self.grid, self.parity, self.coeffs * scale)
+        return _adopt(self.grid, self.parity, self.coeffs * scale)
 
     def __rmul__(self, scale) -> "SpectralField":
         if _is_field(scale):
             return NotImplemented
-        return SpectralField(self.grid, self.parity, scale * self.coeffs)
+        return _adopt(self.grid, self.parity, scale * self.coeffs)
 
     def __truediv__(self, scale) -> "SpectralField":
         if _is_field(scale):
             return NotImplemented
-        return SpectralField(self.grid, self.parity, self.coeffs / scale)
+        return _adopt(self.grid, self.parity, self.coeffs / scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,12 +301,44 @@ class VectorField:
 Field = Union[SpectralField, VectorField]
 
 
+class _Fresh:
+    """An array the package has just computed and holds no other reference
+    to; the SpectralField constructor takes it over instead of copying."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
+def _adopt(grid: Grid, parity: str, coeffs: np.ndarray) -> SpectralField:
+    """A field on fresh coefficients: the constructor's clean-up and freeze
+    without its copy.  The caller must not touch coeffs afterwards."""
+    return SpectralField(grid, parity, _Fresh(coeffs))
+
+
 def _is_field(x) -> bool:
     return isinstance(x, (SpectralField, VectorField))
 
 
 # ---------------------------------------------------------------------------
 # transforms
+
+# scipy releases the GIL inside its FFTs, so each thread keeps its own buffers
+_work = threading.local()
+
+
+def _stack_buffer(g: Grid, k: int) -> np.ndarray:
+    """This thread's reused (k, nx/2 + 1, ny + 1) buffer for synthesize().
+
+    Reusing it keeps the step from returning the memory to the system and
+    faulting it back in on every call.
+    """
+    buffers = _work.__dict__.setdefault("buffers", {})
+    shape = (k,) + g.coeff_shape
+    if shape not in buffers:
+        buffers[shape] = np.empty(shape, dtype=np.complex128)
+    return buffers[shape]
 
 
 def synthesize(
@@ -305,7 +347,8 @@ def synthesize(
     """Collocation values on the (nx, ny + 1) grid, walls included.
 
     One field gives an (nx, ny + 1) array; a sequence of fields on one grid
-    gives a (K, nx, ny + 1) stack in the order given.
+    gives a (K, nx, ny + 1) stack in the order given.  The result is a
+    fresh array the caller owns; only the coefficient buffer is reused.
     """
     single = isinstance(fields, SpectralField)
     group = [fields] if single else list(fields)
@@ -315,7 +358,8 @@ def synthesize(
     # cos fields first, so that each y transform runs on one contiguous block
     order = sorted(range(len(group)), key=lambda i: group[i].parity != COS)
     ncos = sum(1 for f in group if f.parity == COS)
-    half = np.stack([group[i].coeffs for i in order])
+    half = _stack_buffer(g, len(group))
+    np.stack([group[i].coeffs for i in order], out=half)
     # DCT-I and DST-I weight the interior columns twice; halving them gives
     # the plain sums (sine fields have zero end columns, so one scaling
     # serves both parities).
@@ -354,8 +398,8 @@ def analyze(
     t *= 1.0 / grid.ny
     c = scipy.fft.rfft(t, axis=-2, norm="forward")
     if c.ndim == 2:
-        return SpectralField(grid, parity, c)
-    return [SpectralField(grid, parity, ci) for ci in c]
+        return _adopt(grid, parity, c)
+    return [_adopt(grid, parity, ci) for ci in c]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +418,8 @@ def derivative_y(f: SpectralField) -> SpectralField:
     """
     g = f.grid
     if f.parity == SIN:
-        return SpectralField(g, COS, f.coeffs * g.ky[None, :])
-    return SpectralField(g, SIN, f.coeffs * (-g.ky[None, :]))
+        return _adopt(g, COS, f.coeffs * g.ky[None, :])
+    return _adopt(g, SIN, f.coeffs * (-g.ky[None, :]))
 
 
 def dealias(f: Field) -> Field:
@@ -403,7 +447,7 @@ def leray_project(u: VectorField) -> VectorField:
     p1 = u.u1.coeffs - 1j * g.kx[:, None] * phi
     p2 = u.u2.coeffs + g.ky[None, :] * phi
     p1[0, 0] = 0.0
-    return VectorField(SpectralField(g, COS, p1), SpectralField(g, SIN, p2))
+    return VectorField(_adopt(g, COS, p1), _adopt(g, SIN, p2))
 
 
 @lru_cache(maxsize=8)

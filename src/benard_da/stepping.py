@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, explicit_rhs, temperature_tendency
-from .spectral import COS, SIN, SpectralField, VectorField
+from .spectral import COS, SIN, SpectralField, VectorField, _adopt
 
 __all__ = [
     "StepperConfig",
@@ -55,13 +55,14 @@ class StepperConfig:
 class History:
     """Explicit tendencies of the previous step (for AB2 extrapolation).
 
-    dt is the step that made them; a saved history can meet a stepper of
-    another dt, and step() refuses it there.
+    tendencies stacks those of u1, u2 and theta, in that order, as one
+    (3, nx/2 + 1, ny + 1) array; step() returns it read-only and never
+    writes to a history it is given.  dt is the step that made them; a
+    saved history can meet a stepper of another dt, and step() refuses it
+    there.
     """
 
-    e_u1: np.ndarray
-    e_u2: np.ndarray
-    e_th: np.ndarray
+    tendencies: np.ndarray
     dt: float
 
 
@@ -82,8 +83,8 @@ class NudgingStep:
     force: Optional[VectorField] = None
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        if not (0 <= self.mu < math.inf):
+            raise ValueError(f"mu must be non-negative and finite, got {self.mu}")
         implicit = self.observed_mask is not None
         if implicit == (self.force is not None):
             raise ValueError("provide either the implicit form or the explicit force")
@@ -187,14 +188,17 @@ def step(
     vec, sc = explicit_rhs(s, forcing)
     # u1, u2 and theta advance as one (3, nx/2 + 1, ny + 1) stack; the
     # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
-    x = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
-    c = np.empty_like(x)
+    e = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
+    e.flags.writeable = False
+    c = np.empty_like(e)
     crank = history is not None
     if crank:
-        x *= 1.5
-        np.stack([history.e_u1, history.e_u2, history.e_th], out=c)
-        c *= -0.5
+        x = e * 1.5
+        np.multiply(history.tendencies, -0.5, out=c)
         x += c
+        x *= dt
+    else:
+        x = e * dt
     num_u, den_u = _diffusion_factors(p.nu, dt, g.lam, crank)
     num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam, crank)
 
@@ -203,7 +207,6 @@ def step(
     )
     c[:2] *= num_u
     c[2] *= num_t
-    x *= dt
     c += x
 
     if nudging is not None and nudging.mu > 0:
@@ -223,12 +226,13 @@ def step(
     c[2] /= den_t
     t_new = s.time + dt
     _check_finite(c, ("u1", "u2", "theta"), s.time, t_new, label)
+    # the new fields are views of c, which nothing else keeps
     new = State(
-        VectorField(SpectralField(g, COS, c[0]), SpectralField(g, SIN, c[1])),
-        SpectralField(g, SIN, c[2]),
+        VectorField(_adopt(g, COS, c[0]), _adopt(g, SIN, c[1])),
+        _adopt(g, SIN, c[2]),
         t_new,
     )
-    return new, History(vec.u1.coeffs, vec.u2.coeffs, sc.coeffs, dt)
+    return new, History(e, dt)
 
 
 def step_scalar(
@@ -255,7 +259,7 @@ def step_scalar(
     num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
     c = (theta.coeffs * num + dt * xth) / den
     _check_finite(c, ("theta",), time, time + dt, None)
-    return SpectralField(g, SIN, c), eth
+    return _adopt(g, SIN, c), eth
 
 
 def integrate(

@@ -165,21 +165,17 @@ class TestCheckpoint:
         s = self.make_state()
         p = PhysicalParams(nu=0.04, kappa=0.02)
         rng = np.random.default_rng(4)
-        shape = s.grid.coeff_shape
+        shape = (3,) + s.grid.coeff_shape
         hist = History(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            dt=1.5e-3,
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), dt=1.5e-3
         )
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, s, p, seed=0, history=hist)
         ck = load_checkpoint(path)
         assert ck.history is not None
         assert ck.history.dt == hist.dt
-        assert np.array_equal(ck.history.e_u1, hist.e_u1)
-        assert np.array_equal(ck.history.e_u2, hist.e_u2)
-        assert np.array_equal(ck.history.e_th, hist.e_th)
+        assert np.array_equal(ck.history.tendencies, hist.tendencies)
+        assert not ck.history.tendencies.flags.writeable
 
     @pytest.mark.parametrize("version", [VERSION - 2, VERSION - 1, VERSION + 1])
     def test_version_mismatch_rejected(self, tmp_path, version):
@@ -367,6 +363,14 @@ class TestTwinCommand:
         missing = str(tmp_path / "nope.ckpt")
         assert main(["twin", "--config", str(cfg_path), missing]) == EXIT_IO
 
+    def test_missing_checkpoint_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        p = tmp_path / "run.cfg"
+        save(small_config(nx=8, ny=8, output_dir=str(out)), p)
+        missing = str(tmp_path / "nope.ckpt")
+        assert main(["twin", "--config", str(p), missing]) == EXIT_IO
+        assert not out.exists()
+
     def test_blow_up_exit_code(self, twin_workspace, tmp_path):
         root, cfg_path, ckpt = twin_workspace
         grid = Grid(2.0, 32, 16)
@@ -475,6 +479,22 @@ class TestSweepCommand:
         p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_partial_spinup_step_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "out"
+        p = tmp_path / "sweep.cfg"
+        cfg = small_config(nx=8, ny=8, spinup_time=0.0031, dt=1e-3, output_dir=str(out))
+        save(cfg, p)
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_nan_mu_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        p = tmp_path / "sweep.cfg"
+        save(small_config(nx=8, ny=8, mu=np.nan, output_dir=str(out)), p)
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert "mu must be non-negative and finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blow_up_row_reports_mode(self):
         grid = Grid(2.0, 32, 16)

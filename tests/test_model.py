@@ -68,6 +68,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhysicalParams(nu=1.0, kappa=1.0, mu=-2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["nu", "kappa", "mu"])
+    def test_params_finite(self, name, value):
+        kw = dict(nu=1.0, kappa=1.0, mu=1.0)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            PhysicalParams(**kw)
+
     def test_state_requires_sine_temperature(self, grid):
         with pytest.raises(ValueError):
             State(VectorField.zeros(grid), SpectralField.zeros(grid, "cos"))

@@ -1,5 +1,8 @@
 """Tests for the spectral basis: transforms, calculus, projection, eigenvalues."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,52 @@ class TestBatchedTransforms:
             ref = (np.fft.ifft(gy, axis=0) * g.nx).real
             vals = sp.synthesize(sp.SpectralField(g, parity, c))
             assert np.abs(vals - ref).max() < 1e-13 * np.abs(ref).max()
+
+    def test_later_calls_leave_earlier_results_unchanged(self):
+        # the coefficient buffer is reused per grid and batch size; the
+        # returned values and the input fields are not
+        g = sp.Grid(L=2.0, nx=32, ny=16)
+        rng = np.random.default_rng(12)
+        fields = self.mixed_fields(g, rng)
+        inputs = [f.coeffs.tobytes() for f in fields]
+        first = sp.synthesize(fields)
+        values = first.tobytes()
+        for _ in range(3):
+            later = sp.synthesize(self.mixed_fields(g, rng))
+            assert not np.shares_memory(first, later)
+        assert first.tobytes() == values
+        assert [f.coeffs.tobytes() for f in fields] == inputs
+
+    def test_threads_get_the_serial_results(self):
+        # scipy releases the GIL inside its FFTs; batches of one size on one
+        # grid must still not share a buffer across threads
+        g = sp.Grid(L=2.0, nx=64, ny=32)
+        batches = [self.mixed_fields(g, np.random.default_rng(s)) for s in (21, 22)]
+        serial = [sp.synthesize(b) for b in batches]
+        wrong, done = [], []
+
+        def work(fields, want):
+            for _ in range(200):
+                if not np.array_equal(sp.synthesize(fields), want):
+                    wrong.append(1)
+            done.append(1)
+
+        threads = [
+            threading.Thread(target=work, args=(batches[i % 2], serial[i % 2]))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(done) == len(threads)
+        assert not wrong
 
     def test_mixed_grids_rejected(self):
         a = sp.SpectralField.zeros(sp.Grid(L=2.0, nx=16, ny=8), sp.COS)
@@ -463,6 +512,16 @@ class TestFieldArithmetic:
                 assert not np.shares_memory(got.coeffs, f.coeffs)
         after = [f.coeffs for f in (a, b, u.u1, u.u2, w.u1, w.u2)]
         assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+
+    def test_public_constructor_copies(self):
+        # only arrays the package has just computed are adopted
+        c = np.random.default_rng(14).standard_normal(self.G.coeff_shape) + 0j
+        f = sp.SpectralField(self.G, sp.COS, c)
+        before = f.coeffs.tobytes()
+        c[...] = 7.0
+        assert f.coeffs.tobytes() == before
+        assert not np.shares_memory(f.coeffs, c)
+        assert c.flags.writeable
 
     def test_mismatched_space_raises_value_error(self):
         other = sp.Grid(L=1.0, nx=16, ny=8)

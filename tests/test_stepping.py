@@ -57,8 +57,9 @@ class TestConfig:
             NudgingStep(mu=1.0, observed_mask=mask, data1=data, data2=data, force=force)
         with pytest.raises(ValueError):
             NudgingStep(mu=1.0, observed_mask=mask)
-        with pytest.raises(ValueError):
-            NudgingStep(mu=-1.0, force=force)
+        for mu in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="mu must be non-negative and finite"):
+                NudgingStep(mu=mu, force=force)
 
 
 class TestDiffusionFactors:
@@ -170,7 +171,7 @@ class TestIntegrate:
         assert np.array_equal(sb.velocity.u1.coeffs, sc.velocity.u1.coeffs)
         assert np.array_equal(sb.velocity.u2.coeffs, sc.velocity.u2.coeffs)
         assert np.array_equal(sb.temperature.coeffs, sc.temperature.coeffs)
-        assert np.array_equal(hb.e_th, hc.e_th)
+        assert np.array_equal(hb.tendencies, hc.tendencies)
 
     def test_determinism(self, grid):
         p = PhysicalParams(nu=0.05, kappa=0.05)
@@ -185,6 +186,30 @@ class TestIntegrate:
             outs.append(s)
         assert np.array_equal(outs[0].velocity.u1.coeffs, outs[1].velocity.u1.coeffs)
         assert np.array_equal(outs[0].temperature.coeffs, outs[1].temperature.coeffs)
+
+    def test_later_steps_leave_earlier_results_unchanged(self, grid):
+        # a new state's fields are views of one array step fills, and the
+        # history is one stack; neither may be reused by a later step
+        p = PhysicalParams(nu=0.05, kappa=0.05)
+        rng = np.random.default_rng(17)
+        s0 = State(
+            random_solenoidal(grid, rng, norm=0.5),
+            random_scalar(grid, rng, "sin", norm=0.5),
+        )
+        cfg = StepperConfig(dt=0.01)
+        s1, h1 = step(s0, p, cfg)
+        s2, h2 = step(s1, p, cfg, history=h1)
+        kept = [h1.tendencies, h2.tendencies] + [
+            f.coeffs
+            for s in (s1, s2)
+            for f in (s.velocity.u1, s.velocity.u2, s.temperature)
+        ]
+        before = [a.tobytes() for a in kept]
+        s, h = s2, h2
+        for _ in range(5):
+            s, h = step(s, p, cfg, history=h)
+        assert [a.tobytes() for a in kept] == before
+        assert not any(a.flags.writeable for a in kept)
 
     def test_observer_cadence(self, grid):
         p = PhysicalParams(nu=0.5, kappa=0.25)
@@ -267,7 +292,7 @@ class TestNudgingHooks:
         s = shear_state(grid)
         _, hist = step(s, p, StepperConfig(dt=0.01))
         assert hist.dt == 0.01
-        other = History(hist.e_u1, hist.e_u2, hist.e_th, 0.02)
+        other = History(hist.tendencies, 0.02)
         with pytest.raises(ValueError, match="dt=0.02"):
             step(s, p, StepperConfig(dt=0.01), history=other)
         step(s, p, StepperConfig(dt=0.02), history=other)
