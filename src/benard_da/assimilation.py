@@ -25,12 +25,13 @@ it reproduces the live assimilated trajectory bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import PhysicalParams, State, temperature_tendency
+from .model import PhysicalParams, State
 from .observations import (
     MODAL,
     InterpolantSpec,
@@ -58,7 +59,7 @@ from .stepping import (
     _step_count,
     integrate,
     step,
-    step_scalar,
+    tendency_history,
 )
 
 __all__ = [
@@ -118,6 +119,10 @@ class TwinConfig:
             raise ValueError(f"initial policies must be one of {_POLICIES}")
         if self.sample_cadence < 1:
             raise ValueError("sample_cadence must be at least 1")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValueError(
+                f"epsilon must be non-negative and finite, got {self.epsilon}"
+            )
 
 
 @dataclass(frozen=True)
@@ -625,46 +630,31 @@ def run_temperature_slaving(
 
     The difference obeys a pure advection-diffusion equation, so its
     squared norm contracts at least as fast as thermal conduction on the
-    gravest mode, whatever the carrier does.  Both passengers use exactly
-    the temperature half of the full stepper with the frozen start-of-step
-    carrier.
+    gravest mode, whatever the carrier does.  theta_a and theta_b ride as
+    passengers of truth0 in one integrate() call.
 
-    The passengers are primed with their initial tendencies so the
-    diffusion half is trapezoidal from the first step.  A plain startup
-    step treats diffusion explicitly and overshoots the conduction
-    envelope by (kappa lambda1 dt)^2/2 relative, which is visible when
-    checking the contract to round-off; the trapezoidal factor always
-    sits below the exact exponential.
+    The run starts from its own tendency history, so the diffusion is
+    trapezoidal from the first step.  A plain startup step treats
+    diffusion explicitly and overshoots the conduction envelope by
+    (kappa lambda1 dt)^2/2 relative, which is visible when checking the
+    contract to round-off; the trapezoidal factor always sits below the
+    exact exponential.
     """
-    if theta_a.grid != truth0.grid or theta_b.grid != truth0.grid:
-        raise ValueError("temperatures must live on the truth grid")
     if sample_cadence < 1:
         raise ValueError(f"sample_cadence must be at least 1, got {sample_cadence}")
-    n_steps = _step_count(run_time, stepper.dt)
-    truth = truth0
-    t_hist: Optional[History] = None
-    c0 = truth0.velocity
-    ha = temperature_tendency(c0, theta_a).coeffs
-    hb = temperature_tendency(c0, theta_b).coeffs
+    s0 = State(truth0.velocity, truth0.temperature, truth0.time, (theta_a, theta_b))
+    times, gaps = [], []
 
-    def gap() -> float:
-        return norm_h(theta_a - theta_b) ** 2
+    def sample(s: State) -> None:
+        times.append(s.time)
+        gaps.append(norm_h(s.passengers[0] - s.passengers[1]) ** 2)
 
-    times = [truth.time]
-    vals = [gap()]
-    for k in range(1, n_steps + 1):
-        carrier = truth.velocity
-        theta_a, ha = step_scalar(
-            theta_a, carrier, params, stepper, history=ha, time=truth.time
-        )
-        theta_b, hb = step_scalar(
-            theta_b, carrier, params, stepper, history=hb, time=truth.time
-        )
-        truth, t_hist = step(truth, params, stepper, history=t_hist, label="truth")
-        if k % sample_cadence == 0:
-            times.append(truth.time)
-            vals.append(gap())
-    return SlavingSeries(np.array(times), np.array(vals))
+    sample(s0)
+    integrate(
+        s0, params, stepper, s0.time + run_time, ((sample_cadence, sample),),
+        history=tendency_history(s0, stepper), label="truth",
+    )
+    return SlavingSeries(np.array(times), np.array(gaps))
 
 
 def slaving_contract_margin(

@@ -53,6 +53,8 @@ def save_checkpoint(
     seed: int,
     history: Optional[History] = None,
 ) -> None:
+    if state.passengers:
+        raise ValueError(f"checkpoints hold no passengers, got {len(state.passengers)}")
     g = state.grid
     header = _HEADER.pack(
         MAGIC,

@@ -113,8 +113,9 @@ def _fit_manifest(series, run_time: float) -> dict:
 
 def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
     grid = cfg.grid()
+    p = cfg.physical_params()  # refuses bad nu, kappa, mu before the estimators
     lambda1 = stokes_smallest_eigenvalue(grid)
-    report = uniform_bounds(cfg.nu, cfg.kappa, cfg.L, lambda1)
+    report = uniform_bounds(p.nu, p.kappa, cfg.L, lambda1)
     c1 = estimate_ladyzhenskaya_constant(
         grid, sample_count=200, rng=np.random.default_rng([cfg.seed, 101])
     )
@@ -129,13 +130,13 @@ def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
             d["h_max_at_mu_min_type1"] = 0.0
         else:
             d["h_max_at_mu_min_type1"] = max_observation_spacing(
-                report.mu_min_type1, cfg.nu, c0
+                report.mu_min_type1, p.nu, c0
             )
     d["mu_satisfies_type1"] = (
-        report.mu_min_type1 is not None and cfg.mu >= report.mu_min_type1
+        report.mu_min_type1 is not None and p.mu >= report.mu_min_type1
     )
-    d["spacing_lhs_mu_c0sq_hsq"] = cfg.mu * c0**2 * cfg.h**2
-    d["spacing_satisfied"] = d["spacing_lhs_mu_c0sq_hsq"] <= cfg.nu
+    d["spacing_lhs_mu_c0sq_hsq"] = p.mu * c0**2 * cfg.h**2
+    d["spacing_satisfied"] = d["spacing_lhs_mu_c0sq_hsq"] <= p.nu
     return d
 
 

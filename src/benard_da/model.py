@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .spectral import (
     COS,
@@ -39,7 +39,6 @@ __all__ = [
     "Forcing",
     "advection_velocity",
     "advection_scalar",
-    "temperature_tendency",
     "explicit_rhs",
 ]
 
@@ -70,17 +69,21 @@ class PhysicalParams:
 @dataclass(frozen=True, eq=False)
 class State:
     """Solenoidal velocity plus sine-parity temperature at one instant,
-    compared by identity."""
+    compared by identity.  passengers are passive temperatures: each obeys
+    the temperature equation but none feeds the buoyancy."""
 
     velocity: VectorField
     temperature: SpectralField
     time: float = 0.0
+    passengers: Tuple[SpectralField, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.temperature.parity != SIN:
-            raise ValueError("temperature must carry sine parity")
-        if self.temperature.grid != self.velocity.grid:
-            raise ValueError("velocity and temperature grids differ")
+        object.__setattr__(self, "passengers", tuple(self.passengers))
+        for f in (self.temperature,) + self.passengers:
+            if f.parity != SIN:
+                raise ValueError("temperatures must carry sine parity")
+            if f.grid != self.velocity.grid:
+                raise ValueError("velocity and temperature grids differ")
 
     @property
     def grid(self) -> Grid:
@@ -122,18 +125,26 @@ def advection_velocity(carrier: VectorField, advected: VectorField) -> VectorFie
     )
 
 
-def advection_scalar(carrier: VectorField, scalar: SpectralField) -> SpectralField:
-    """Dealiased Galerkin truncation of (carrier . grad) scalar, sine parity."""
-    _require_same_grid(carrier.grid, scalar.grid)
-    c1, dy, c2, dx = synthesize(
-        [carrier.u1, derivative_y(scalar), carrier.u2, derivative_x(scalar)]
+def advection_scalar(
+    carrier: VectorField, scalars: Union[SpectralField, Sequence[SpectralField]]
+) -> Union[SpectralField, List[SpectralField]]:
+    """Dealiased Galerkin truncation of (carrier . grad) scalar, sine parity.
+
+    A sequence of scalars gives a list, from one synthesis and one analysis,
+    bit for bit the fields of one call per scalar."""
+    single = isinstance(scalars, SpectralField)
+    group = [scalars] if single else list(scalars)
+    for f in group:
+        _require_same_grid(carrier.grid, f.grid)
+    k = len(group)
+    # cos-parity fields first: synthesize then needs no reordering
+    v = synthesize(
+        [carrier.u1, *map(derivative_y, group), carrier.u2, *map(derivative_x, group)]
     )
-    return dealias(analyze(carrier.grid, c1 * dx + c2 * dy, SIN))
-
-
-def temperature_tendency(u: VectorField, theta: SpectralField) -> SpectralField:
-    """-(u.grad)theta + u2: the explicit temperature tendency (no diffusion)."""
-    return u.u2 - advection_scalar(u, theta)
+    adv = v[0] * v[k + 2 :] + v[k + 1] * v[1 : k + 1]
+    if single:
+        return dealias(analyze(carrier.grid, adv[0], SIN))
+    return [dealias(f) for f in analyze(carrier.grid, adv, SIN)]
 
 
 def explicit_rhs(
@@ -147,7 +158,7 @@ def explicit_rhs(
     u, th = s.velocity, s.temperature
     adv = advection_velocity(u, u)
     vec = VectorField(-adv.u1, th - adv.u2)
-    sc = temperature_tendency(u, th)
+    sc = u.u2 - advection_scalar(u, th)
     if forcing is not None:
         fu, ft = forcing(s.time)
         vec = vec + fu

@@ -116,8 +116,8 @@ class Grid:
     quad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.L > 0):
-            raise ValueError(f"domain length must be positive, got L={self.L}")
+        if not (0 < self.L < np.inf):
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 8 or not _is_power_of_two(n):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n}")

@@ -7,13 +7,15 @@ constants 3/2 and -1/2.  A run spans a whole number of such steps: a length
 that is negative, not finite or not a whole multiple of dt is refused
 before any step.  The explicit-tendency history travels alongside the
 state so that a resumed integration reproduces an uninterrupted one bit
-for bit.
+for bit; tendency_history(s) primes a start instead, CNAB2 from its first
+step.  One kernel, step(), advances the velocity, the temperature and the
+passive temperatures of State.passengers as the rows of one stack.
 
 Nudging enters in one of two prepared forms (built by the assimilation
 layer): a diagonal damping on observed modes folded into the implicit solve
 together with its data term (projection-type observations, no dt limit), or
 a fully explicit force (volume/nodal observations, dt <= 1/(2 mu) enforced
-here).  Temperature is never nudged; the scalar update has no such hook.
+here).  Temperatures are never nudged.
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .model import Forcing, PhysicalParams, State, explicit_rhs, temperature_tendency
-from .spectral import COS, SIN, SpectralField, VectorField, _adopt
+from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
+from .spectral import COS, SIN, VectorField, _adopt
 
 __all__ = [
     "StepperConfig",
     "History",
     "NudgingStep",
     "BlowUpError",
+    "tendency_history",
     "step",
-    "step_scalar",
     "integrate",
 ]
 
@@ -55,11 +57,12 @@ class StepperConfig:
 class History:
     """Explicit tendencies of the previous step (for AB2 extrapolation).
 
-    tendencies stacks those of u1, u2 and theta, in that order, as one
-    (3, nx/2 + 1, ny + 1) array; step() returns it read-only and never
-    writes to a history it is given.  dt is the step that made them; a
-    saved history can meet a stepper of another dt, and step() refuses it
-    there.
+    tendencies stacks those of u1, u2, theta and each passenger, in that
+    order, as one (3 + K, nx/2 + 1, ny + 1) array for K passengers; step()
+    returns it read-only, never writes to a history it is given, and
+    refuses one whose row count is not its state's.  dt is the step that
+    made them; a saved history can meet a stepper of another dt, and
+    step() refuses it there.
     """
 
     tendencies: np.ndarray
@@ -123,21 +126,16 @@ class BlowUpError(RuntimeError):
         )
 
 
-def _check_finite(
-    coeffs: np.ndarray,
-    fields: Tuple[str, ...],
-    last_time: float,
-    time: float,
-    label: Optional[str],
-) -> None:
-    """Raise BlowUpError at the largest coefficient of a (stacked) update."""
-    mag = np.abs(coeffs)
+def _check_finite(c: np.ndarray, last_time: float, time: float, label: Optional[str]):
+    """Raise BlowUpError at the largest coefficient of a step's stacked update."""
+    mag = np.abs(c)
     i = int(np.argmax(mag))
     peak = float(mag.flat[i])
     if peak <= BLOWUP_THRESHOLD:
         return
-    k, n, m = np.unravel_index(i, (len(fields),) + coeffs.shape[-2:])
-    raise BlowUpError(time, label, fields[k], (int(n), int(m)), peak, last_time)
+    k, n, m = np.unravel_index(i, c.shape)
+    field = ("u1", "u2", "theta")[k] if k < 3 else f"passenger {k - 3}"
+    raise BlowUpError(time, label, field, (int(n), int(m)), peak, last_time)
 
 
 def _step_count(length: float, dt: float) -> int:
@@ -168,6 +166,25 @@ def _diffusion_factors(
     return 1.0, 1.0 + diffusivity * dt * lam
 
 
+def tendency_history(
+    s: State, cfg: StepperConfig, forcing: Optional[Forcing] = None
+) -> History:
+    """The explicit tendencies of s: the History a step from s returns.
+
+    Passed into the first step from s it primes that step, which is then
+    CNAB2 (trapezoidal diffusion) from the start.  Each passenger takes
+    theta's tendency u2 - (u.grad) passenger, without the forcing.
+    """
+    vec, sc = explicit_rhs(s, forcing)
+    rows = [vec.u1.coeffs, vec.u2.coeffs, sc.coeffs]
+    if s.passengers:
+        u = s.velocity
+        rows += [(u.u2 - a).coeffs for a in advection_scalar(u, s.passengers)]
+    e = np.stack(rows)
+    e.flags.writeable = False
+    return History(e, cfg.dt)
+
+
 def step(
     s: State,
     p: PhysicalParams,
@@ -180,16 +197,20 @@ def step(
     """Advance one step of cfg.dt; returns the new state and the new history.
 
     Without a history the step is the IMEX-Euler startup; with one it is
-    CNAB2, and the history must come from a step of the same dt.
+    CNAB2, and the history must come from a step of the same dt and hold
+    one row per row of the state.  Passengers take kappa diffusion and the
+    start-of-step velocity; a blow-up in one names it "passenger k".
     """
     g, dt = s.grid, cfg.dt
+    rows = 3 + len(s.passengers)
     if history is not None and history.dt != dt:
         raise ValueError(f"history was made with dt={history.dt}, not dt={dt}")
-    vec, sc = explicit_rhs(s, forcing)
-    # u1, u2 and theta advance as one (3, nx/2 + 1, ny + 1) stack; the
-    # diffusion factors belong to the velocity pair (nu) and to theta (kappa)
-    e = np.stack([vec.u1.coeffs, vec.u2.coeffs, sc.coeffs])
-    e.flags.writeable = False
+    if history is not None and len(history.tendencies) != rows:
+        raise ValueError(f"history has {len(history.tendencies)} rows, the state {rows}")
+    new_history = tendency_history(s, cfg, forcing)
+    # u1, u2, theta and the passengers advance as one stack; the diffusion
+    # factors belong to the velocity pair (nu) and to the temperatures (kappa)
+    e = new_history.tendencies
     c = np.empty_like(e)
     crank = history is not None
     if crank:
@@ -202,11 +223,10 @@ def step(
     num_u, den_u = _diffusion_factors(p.nu, dt, g.lam, crank)
     num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam, crank)
 
-    np.stack(
-        [s.velocity.u1.coeffs, s.velocity.u2.coeffs, s.temperature.coeffs], out=c
-    )
+    u, temperatures = s.velocity, (s.temperature, *s.passengers)
+    np.stack([u.u1.coeffs, u.u2.coeffs, *(f.coeffs for f in temperatures)], out=c)
     c[:2] *= num_u
-    c[2] *= num_t
+    c[2:] *= num_t
     c += x
 
     if nudging is not None and nudging.mu > 0:
@@ -223,43 +243,17 @@ def step(
             c[1] += dt * nudging.mu * nudging.data2
 
     c[:2] /= den_u
-    c[2] /= den_t
+    c[2:] /= den_t
     t_new = s.time + dt
-    _check_finite(c, ("u1", "u2", "theta"), s.time, t_new, label)
+    _check_finite(c, s.time, t_new, label)
     # the new fields are views of c, which nothing else keeps
     new = State(
         VectorField(_adopt(g, COS, c[0]), _adopt(g, SIN, c[1])),
         _adopt(g, SIN, c[2]),
         t_new,
+        tuple(_adopt(g, SIN, r) for r in c[3:]),
     )
-    return new, History(e, dt)
-
-
-def step_scalar(
-    theta: SpectralField,
-    carrier: VectorField,
-    p: PhysicalParams,
-    cfg: StepperConfig,
-    history: Optional[np.ndarray] = None,
-    time: float = 0.0,
-) -> Tuple[SpectralField, np.ndarray]:
-    """Advance a passive temperature carried by a frozen start-of-step velocity.
-
-    Uses the same discretization as the scalar half of step(), so two scalars
-    sharing one carrier difference exactly like a single advected scalar.
-    history is the tendency the previous call returned (None for the
-    startup step); the new tendency is returned alongside the new scalar.
-    """
-    g, dt = theta.grid, cfg.dt
-    eth = temperature_tendency(carrier, theta).coeffs
-    crank = history is not None
-    xth = eth
-    if crank:
-        xth = 1.5 * eth - 0.5 * history
-    num, den = _diffusion_factors(p.kappa, dt, g.lam, crank)
-    c = (theta.coeffs * num + dt * xth) / den
-    _check_finite(c, ("theta",), time, time + dt, None)
-    return _adopt(g, SIN, c), eth
+    return new, new_history
 
 
 def integrate(

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from benard_da import assimilation
+from benard_da import assimilation, stepping
 from benard_da.assimilation import (
     CUSTOM,
     PERTURBED_TRUTH,
@@ -608,8 +608,7 @@ class TestTemperatureSlaving:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped before rejecting the cadence")
 
-        monkeypatch.setattr(assimilation, "step", no_step)
-        monkeypatch.setattr(assimilation, "step_scalar", no_step)
+        monkeypatch.setattr(stepping, "step", no_step)
         th = real_mode(GRID, SIN, 0, 1)
         with pytest.raises(ValueError, match="sample_cadence"):
             run_temperature_slaving(

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,14 @@ class TestCheckpoint:
         assert np.array_equal(ck.history.tendencies, hist.tendencies)
         assert not ck.history.tendencies.flags.writeable
 
+    def test_state_with_passengers_refused(self, tmp_path):
+        s = self.make_state()
+        rider = State(s.velocity, s.temperature, s.time, passengers=(s.temperature,))
+        path = tmp_path / "s.ckpt"
+        with pytest.raises(ValueError, match="no passengers"):
+            save_checkpoint(path, rider, PhysicalParams(nu=0.04, kappa=0.02), seed=0)
+        assert not path.exists()
+
     @pytest.mark.parametrize("version", [VERSION - 2, VERSION - 1, VERSION + 1])
     def test_version_mismatch_rejected(self, tmp_path, version):
         # version 1 held all nx coefficient rows and version 2 also held h
@@ -253,6 +262,17 @@ class TestSpinupCommand:
         save(cfg, p)
         assert main(["spinup", "--config", str(p)]) == EXIT_CONFIG
         # not even an empty output directory is left behind
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spinup", "check-conditions"])
+    def test_infinite_length_exits_2_naming_L(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        p = tmp_path / "run.cfg"
+        save(small_config(nx=8, ny=8, L=np.inf, spinup_time=0.01, output_dir=str(out)), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(p)]) == EXIT_CONFIG
+        assert "L must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63)], ids=["negative", "2**63"])
@@ -496,6 +516,23 @@ class TestSweepCommand:
         assert "mu must be non-negative and finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_bad_epsilon_exits_2_before_spinup(self, tmp_path, capsys, monkeypatch, epsilon):
+        def no_spin_up(*args, **kwargs):
+            raise AssertionError("spun up before refusing epsilon")
+
+        monkeypatch.setattr(cli, "spin_up", no_spin_up)
+        out = tmp_path / "out"
+        p = tmp_path / "sweep.cfg"
+        cfg = small_config(
+            nx=8, ny=8, v0_policy="perturbed-truth", epsilon=epsilon, output_dir=str(out)
+        )
+        save(cfg, p)
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"epsilon must be non-negative and finite, got {epsilon}" in err
+        assert not out.exists()
+
     def test_blow_up_row_reports_mode(self):
         grid = Grid(2.0, 32, 16)
         rng = np.random.default_rng(1)
@@ -562,6 +599,14 @@ class TestCheckConditionsCommand:
         p = tmp_path / "bad.cfg"
         p.write_text("seed = inf\n")
         assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["spinup", "check-conditions"])
+    def test_infinite_viscosity_named(self, tmp_path, capsys, command):
+        # both commands give the PhysicalParams message, not a threshold's
+        p = tmp_path / "cc.cfg"
+        save(small_config(nx=8, ny=8, nu=np.inf, output_dir=str(tmp_path / "out")), p)
+        assert main([command, "--config", str(p)]) == EXIT_CONFIG
+        assert "nu must be positive and finite, got inf" in capsys.readouterr().err
 
 
 class TestOptions:

@@ -85,6 +85,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             State(VectorField.zeros(grid), SpectralField.zeros(other, "sin"))
 
+    def test_passengers_must_be_sine_fields_on_the_grid(self, grid):
+        u, th = VectorField.zeros(grid), SpectralField.zeros(grid, "sin")
+        with pytest.raises(ValueError, match="sine parity"):
+            State(u, th, passengers=(th, SpectralField.zeros(grid, "cos")))
+        with pytest.raises(ValueError, match="grids differ"):
+            State(u, th, passengers=(SpectralField.zeros(Grid(L, 16, 8), "sin"),))
+        assert State(u, th, passengers=[th]).passengers == (th,)
+
     def test_advection_requires_matching_grids(self, grid):
         other = Grid(L, 16, 8)
         rng = np.random.default_rng(0)
@@ -177,6 +185,22 @@ class TestAdvectionOracle:
         z = VectorField.zeros(grid)
         assert norm_h(advection_scalar(z, th)) == 0.0
         assert norm_h(advection_velocity(z, v)) == 0.0
+
+
+class TestScalarBatch:
+    def test_sequence_equals_one_by_one(self, grid):
+        # one synthesis of the carrier and one analysis for all scalars give
+        # the bits of one call per scalar
+        rng = np.random.default_rng(21)
+        u = random_solenoidal(grid, rng)
+        scalars = [random_scalar(grid, rng, "sin") for _ in range(3)]
+        batch = advection_scalar(u, scalars)
+        assert isinstance(batch, list) and len(batch) == 3
+        for f, a in zip(scalars, batch):
+            assert a.coeffs.tobytes() == advection_scalar(u, f).coeffs.tobytes()
+        assert advection_scalar(u, scalars[:1])[0].coeffs.tobytes() == (
+            advection_scalar(u, scalars[0]).coeffs.tobytes()
+        )
 
 
 class TestOrthogonality:

@@ -23,7 +23,7 @@ from benard_da.stepping import (
     StepperConfig,
     integrate,
     step,
-    step_scalar,
+    tendency_history,
 )
 
 
@@ -405,20 +405,69 @@ class TestRealityPreservation:
             assert not a.coeffs[0].imag.any() and not a.coeffs[-1].imag.any()
 
 
-class TestScalarStep:
-    def test_matches_full_step_temperature(self, grid):
-        # The scalar stepper must reproduce the full step's temperature
-        # update bit for bit when given the same frozen carrier.
-        p = PhysicalParams(nu=0.5, kappa=0.25)
-        rng = np.random.default_rng(15)
-        s = State(
+class TestPassengers:
+    """Passive temperatures ride in step() as extra rows of its one stack."""
+
+    p = PhysicalParams(nu=0.5, kappa=0.25)
+    cfg = StepperConfig(dt=0.01)
+
+    def random_state(self, grid, passengers=0, seed=15):
+        rng = np.random.default_rng(seed)
+        return State(
             random_solenoidal(grid, rng, norm=0.7),
             random_scalar(grid, rng, "sin", norm=0.4),
+            passengers=[random_scalar(grid, rng, "sin") for _ in range(passengers)],
         )
-        cfg = StepperConfig(dt=0.01)
-        full, hist = step(s, p, cfg)
-        th, shist = step_scalar(s.temperature, s.velocity, p, cfg)
-        assert np.array_equal(th.coeffs, full.temperature.coeffs)
-        full2, _ = step(full, p, cfg, history=hist)
-        th2, _ = step_scalar(th, full.velocity, p, cfg, history=shist)
-        assert np.array_equal(th2.coeffs, full2.temperature.coeffs)
+
+    def test_passenger_steps_like_the_temperature_row(self, grid):
+        # A passenger advances bit for bit like the temperature of a state
+        # whose temperature it is, given the same start-of-step velocity:
+        # over the startup step and over a CNAB2 step.
+        s = self.random_state(grid, passengers=2)
+        s1, h1 = step(s, self.p, self.cfg)
+        s2, _ = step(s1, self.p, self.cfg, history=h1)
+        for k, phi in enumerate(s.passengers):
+            ref1, _ = step(State(s.velocity, phi), self.p, self.cfg)
+            assert s1.passengers[k].coeffs.tobytes() == ref1.temperature.coeffs.tobytes()
+            # the reference resumes from s1's velocity and its own rows
+            ref_hist = History(h1.tendencies[[0, 1, 3 + k]], h1.dt)
+            ref = State(s1.velocity, s1.passengers[k], s1.time)
+            ref2, _ = step(ref, self.p, self.cfg, history=ref_hist)
+            assert s2.passengers[k].coeffs.tobytes() == ref2.temperature.coeffs.tobytes()
+        # passengers feed nothing back: the velocity and theta rows are the
+        # rows of the same state without them
+        bare = State(s.velocity, s.temperature)
+        b1, bh = step(bare, self.p, self.cfg)
+        assert np.array_equal(h1.tendencies[:3], bh.tendencies)
+        for a, b in (
+            (s1.velocity.u1, b1.velocity.u1),
+            (s1.velocity.u2, b1.velocity.u2),
+            (s1.temperature, b1.temperature),
+        ):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+    def test_passenger_equal_to_theta_stays_equal_under_primed_start(self, grid):
+        s = self.random_state(grid)
+        s = State(s.velocity, s.temperature, passengers=(s.temperature,))
+        hist = tendency_history(s, self.cfg)
+        assert np.array_equal(hist.tendencies[2], hist.tendencies[3])
+        out, _ = integrate(s, self.p, self.cfg, 0.2, history=hist)
+        assert out.passengers[0].coeffs.tobytes() == out.temperature.coeffs.tobytes()
+        assert norm_h(out.temperature - s.temperature) > 0.0
+
+    def test_history_row_count_must_match_state(self, grid):
+        s = self.random_state(grid, passengers=1)
+        _, bare_hist = step(State(s.velocity, s.temperature), self.p, self.cfg)
+        with pytest.raises(ValueError, match="history has 3 rows, the state 4"):
+            step(s, self.p, self.cfg, history=bare_hist)
+        _, hist = step(s, self.p, self.cfg)
+        with pytest.raises(ValueError, match="history has 4 rows, the state 3"):
+            step(State(s.velocity, s.temperature), self.p, self.cfg, history=hist)
+
+    def test_blow_up_names_the_passenger(self, grid):
+        s = self.random_state(grid, passengers=2)
+        big = 1e15 * s.passengers[1]
+        huge = State(s.velocity, s.temperature, passengers=(s.passengers[0], big))
+        with pytest.raises(BlowUpError, match=r"\|passenger 1\|") as ei:
+            step(huge, self.p, self.cfg, label="truth")
+        assert ei.value.field == "passenger 1"
