@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -289,6 +288,9 @@ def cmd_sweep(cfg: RunConfig, workers: int) -> int:
     cuts = [len(pairs) * i // n for i in range(n + 1)]
     jobs = [(cfg, pairs[a:b], truth0) for a, b in zip(cuts, cuts[1:])]
     if n > 1:
+        # imported here: the import costs every other command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n) as pool:
             chunks = list(pool.map(_sweep_chunk, jobs))
     else:

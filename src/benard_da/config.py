@@ -2,10 +2,11 @@
 
 Every knob of a run lives here, and every key takes effect, so that
 (config, seed) pins down every output byte apart from timestamps and
-wall-times.  Values are floats, integers, strings or comma-separated float
-lists (empty for none); integer keys take integer literals only ("32",
-not "32.0" or "1e3").  Unknown keys are rejected; omitted keys take the
-defaults below; a config round-trips through dumps()/parse() unchanged.
+wall-times.  Values are floats, integers, strings or comma-separated lists
+of finite floats (empty for none); integer keys take integer literals
+only ("32", not "32.0" or "1e3").  Unknown keys are rejected; omitted
+keys take the defaults below; a config round-trips through
+dumps()/parse() unchanged.
 spinup_time and run_time must be whole multiples of dt; a run refuses
 any other length before its first step.
 """
@@ -13,6 +14,7 @@ any other length before its first step.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
@@ -65,6 +67,12 @@ class RunConfig:
         # the checkpoint header stores the seed as a signed 64-bit integer
         if not (0 <= self.seed < 2**63):
             raise ConfigError(f"seed must lie in [0, 2**63 - 1], got {self.seed}")
+        # refused here, so that sweep fails before its spin-up and
+        # check-conditions refuses the same files
+        for key in ("sweep_mu", "sweep_h"):
+            for v in getattr(self, key):
+                if not math.isfinite(v):
+                    raise ConfigError(f"{key} entries must be finite, got {v}")
 
     def grid(self) -> Grid:
         return Grid(self.L, self.nx, self.ny, self.dealias_fraction)

@@ -108,7 +108,6 @@ def advection_velocity(carrier: VectorField, advected: VectorField) -> VectorFie
     """Dealiased Galerkin truncation of (carrier . grad) advected."""
     _require_same_grid(carrier.grid, advected.grid)
     g = carrier.grid
-    # cos-parity fields first: synthesize then needs no reordering
     c1, dx1, dy2, c2, dy1, dx2 = synthesize(
         [
             carrier.u1,
@@ -137,7 +136,6 @@ def advection_scalar(
     for f in group:
         _require_same_grid(carrier.grid, f.grid)
     k = len(group)
-    # cos-parity fields first: synthesize then needs no reordering
     v = synthesize(
         [carrier.u1, *map(derivative_y, group), carrier.u2, *map(derivative_x, group)]
     )

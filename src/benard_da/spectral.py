@@ -20,14 +20,18 @@ identically and sin(ny pi y) vanishes at every collocation point, so
 neither is representable; dropping them is the Galerkin truncation onto
 the representable band.
 
-synthesize() copies the rows into a buffer that each thread reuses for
-its grid and batch size, runs a real inverse FFT in x and returns a
-fresh array; analyze() keeps the rows of a real FFT in x.  Both
-transforms take a batch: synthesize() a sequence of fields of either
-parity (one DCT-I for the cos group, one DST-I for the sin group, one
-inverse real FFT for all), analyze() a (K, nx, ny + 1) stack of values
-of one parity.  A batch gives the same bits as the same fields one by
-one.
+Both transforms run on numpy.fft.  In y they sum over the collocation
+points with a real FFT of length 2 ny, its input zero-padded from
+ny + 1: at y_j = j / ny the real part of the result is the cos sum and
+minus its imaginary part the sin sum.  synthesize() copies the rows into
+a buffer that each thread reuses for its grid and batch size, runs one
+real inverse FFT in x for all fields, then that y FFT field by field,
+and returns a fresh array.  analyze() runs that y FFT field by field on
+the values, with the walls halved for cos (DCT-I) and zeroed for sin
+(DST-I, which so ignores wall values), and keeps the rows of one real
+FFT in x.  Both transforms take a batch: synthesize() a sequence of
+fields of either parity, analyze() a (K, nx, ny + 1) stack of values of
+one parity.  A batch gives the same bits as the same fields one by one.
 
 Collocation points are x_i = i L / nx and y_j = j / ny (walls included).
 A velocity field pairs a cos-parity u1 with a sin-parity u2, so the
@@ -55,7 +59,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -324,7 +327,8 @@ def _is_field(x) -> bool:
 # ---------------------------------------------------------------------------
 # transforms
 
-# scipy releases the GIL inside its FFTs, so each thread keeps its own buffers
+# threads can switch between filling a buffer and transforming it, so each
+# thread keeps its own buffers
 _work = threading.local()
 
 
@@ -355,22 +359,18 @@ def synthesize(
     g = group[0].grid
     if any(f.grid != g for f in group):
         raise ValueError("fields to synthesize live on different grids")
-    # cos fields first, so that each y transform runs on one contiguous block
-    order = sorted(range(len(group)), key=lambda i: group[i].parity != COS)
-    ncos = sum(1 for f in group if f.parity == COS)
     half = _stack_buffer(g, len(group))
-    np.stack([group[i].coeffs for i in order], out=half)
-    # DCT-I and DST-I weight the interior columns twice; halving them gives
-    # the plain sums (sine fields have zero end columns, so one scaling
-    # serves both parities).
-    half[..., 1:-1] *= 0.5
-    v = scipy.fft.irfft(half, n=g.nx, axis=-2, norm="forward")
-    v[:ncos] = scipy.fft.dct(v[:ncos], type=1, axis=-1, overwrite_x=True)
-    v[ncos:, :, 1:-1] = scipy.fft.dst(
-        v[ncos:, :, 1:-1], type=1, axis=-1, overwrite_x=True
-    )
-    if order != sorted(order):
-        v = v[np.argsort(order)]
+    np.stack([f.coeffs for f in group], out=half)
+    v = np.fft.irfft(half, n=g.nx, axis=-2, norm="forward")
+    # one y FFT per field, written back in place: a batched call's complex
+    # result is twice the values' size, and at 128x64 the allocator hands
+    # that memory back to the system after every call
+    for f, vf in zip(group, v):
+        s = np.fft.rfft(vf, n=2 * g.ny, axis=-1)
+        if f.parity == COS:
+            vf[...] = s.real
+        else:
+            np.negative(s.imag, out=vf)
     return v[0] if single else v
 
 
@@ -381,22 +381,31 @@ def analyze(
 
     (nx, ny + 1) values give one field, a (K, nx, ny + 1) stack gives a
     list of K fields of the one parity, whose coefficients are the rows of
-    a real FFT in x.
+    a real FFT in x.  Sine analysis ignores the wall values.
     """
     v = np.asarray(values, dtype=float)
     if v.shape[-2:] != grid.shape or v.ndim not in (2, 3):
         raise ValueError(
             f"value shape {v.shape} does not match grid {grid.shape}"
         )
+    # DCT-I: the real part of the y FFT of 2/ny times the values with the
+    # walls halved, its m = 0 and ny columns halved.  DST-I: the imaginary
+    # part of the y FFT of -2/ny times the values with the walls zeroed,
+    # so that wall values are ignored.  ([..., ::ny] are columns 0 and ny;
+    # 2/ny is a power of two, so scaling before the FFT is exact.)
     if parity == COS:
-        t = scipy.fft.dct(v, type=1, axis=-1)
-        t[..., 0] *= 0.5
-        t[..., -1] *= 0.5
+        t = v * (2.0 / grid.ny)
+        t[..., :: grid.ny] *= 0.5
     else:
-        t = np.zeros_like(v)
-        t[..., 1:-1] = scipy.fft.dst(v[..., 1:-1], type=1, axis=-1)
-    t *= 1.0 / grid.ny
-    c = scipy.fft.rfft(t, axis=-2, norm="forward")
+        t = v * (-2.0 / grid.ny)
+        t[..., :: grid.ny] = 0.0
+    # one y FFT per field, written back in place, as in synthesize()
+    for tk in t if t.ndim == 3 else [t]:
+        s = np.fft.rfft(tk, n=2 * grid.ny, axis=-1)
+        tk[...] = s.real if parity == COS else s.imag
+    if parity == COS:
+        t[..., :: grid.ny] *= 0.5
+    c = np.fft.rfft(t, axis=-2, norm="forward")
     if c.ndim == 2:
         return _adopt(grid, parity, c)
     return [_adopt(grid, parity, ci) for ci in c]

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -45,6 +47,14 @@ def small_config(**overrides) -> RunConfig:
     )
     kw.update(overrides)
     return RunConfig(**kw)
+
+
+def sweep_list_config(cfg: RunConfig, key: str, bad: str) -> str:
+    """Config text whose sweep list `key` is 10.0 and then `bad`, which the
+    RunConfig constructor would refuse."""
+    text = dumps(cfg)
+    assert f"\n{key} = \n" in text
+    return text.replace(f"\n{key} = \n", f"\n{key} = 10.0,{bad}\n")
 
 
 class TestConfig:
@@ -106,6 +116,14 @@ class TestConfig:
         save(cfg, path)
         assert main(["spinup", "--config", str(path)]) == EXIT_OK
         assert load_checkpoint(tmp_path / "truth.ckpt").seed == seed
+
+    @pytest.mark.parametrize("key", ["sweep_mu", "sweep_h"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_entry_rejected(self, key, bad):
+        with pytest.raises(ConfigError, match=f"{key} entries must be finite"):
+            parse(f"{key} = 0.5,{bad}\n")
+        with pytest.raises(ConfigError, match=key):
+            small_config(**{key: (0.5, float(bad))})
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="interpolant_kind"):
@@ -533,6 +551,48 @@ class TestSweepCommand:
         assert f"epsilon must be non-negative and finite, got {epsilon}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["sweep_mu", "sweep_h"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_list_exits_2_before_spinup(
+        self, tmp_path, capsys, monkeypatch, key, bad
+    ):
+        def no_spin_up(*args, **kwargs):
+            raise AssertionError("spun up before refusing the sweep list")
+
+        monkeypatch.setattr(cli, "spin_up", no_spin_up)
+        out = tmp_path / "out"
+        p = tmp_path / "sweep.cfg"
+        p.write_text(
+            sweep_list_config(small_config(nx=8, ny=8, output_dir=str(out)), key, bad)
+        )
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert f"{key} entries must be finite, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parallel_rows_equal_serial_rows(self, tmp_path):
+        cfg = small_config(
+            nx=16,
+            ny=8,
+            spinup_time=0.1,
+            run_time=0.2,
+            sweep_mu=(10.0, 40.0),
+            sweep_h=(0.2, 0.5),
+        )
+        rows = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            p = tmp_path / f"{workers}.cfg"
+            save(dataclasses.replace(cfg, output_dir=str(out)), p)
+            assert main(["sweep", "--config", str(p), "--workers", workers]) == EXIT_OK
+            with (out / "sweep.csv").open() as fh:
+                rows[workers] = [
+                    {k: v for k, v in row.items() if k != "wall_time_s"}
+                    for row in csv.DictReader(fh)
+                ]
+        assert len(rows["1"]) == 4
+        assert all(row["rate"] != "" for row in rows["1"])
+        assert rows["2"] == rows["1"]
+
     def test_blow_up_row_reports_mode(self):
         grid = Grid(2.0, 32, 16)
         rng = np.random.default_rng(1)
@@ -600,6 +660,13 @@ class TestCheckConditionsCommand:
         p.write_text("seed = inf\n")
         assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["sweep_mu", "sweep_h"])
+    def test_non_finite_sweep_list_exit_code(self, tmp_path, capsys, key):
+        p = tmp_path / "cc.cfg"
+        p.write_text(sweep_list_config(small_config(nx=8, ny=8), key, "inf"))
+        assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
+        assert f"{key} entries must be finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["spinup", "check-conditions"])
     def test_infinite_viscosity_named(self, tmp_path, capsys, command):
         # both commands give the PhysicalParams message, not a threshold's
@@ -623,6 +690,21 @@ class TestOptions:
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
+
+
+class TestStartUp:
+    def test_process_pool_loaded_only_for_parallel_sweeps(self):
+        # a fresh interpreter: this pytest process may have run a parallel sweep
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            f"import sys; sys.path.insert(0, {src!r}); import benard_da.cli;"
+            " print('concurrent.futures.process' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestValidateCommand:

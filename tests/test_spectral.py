@@ -1,7 +1,10 @@
 """Tests for the spectral basis: transforms, calculus, projection, eigenvalues."""
 
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +114,84 @@ class TestTransforms:
             assert not q.coeffs[-1].imag.any()
 
 
+class TestDenseOracle:
+    """synthesize() against the literal double sum over the full spectrum,
+    and analyze() as its inverse, on fields that fill every carried mode."""
+
+    @staticmethod
+    def direct_sum(f):
+        g = f.grid
+        basis = np.cos if f.parity == sp.COS else np.sin
+        out = np.zeros(g.shape, dtype=complex)
+        for n in range(-g.nx // 2 + 1, g.nx // 2 + 1):
+            row = f.coeffs[n] if n >= 0 else np.conj(f.coeffs[-n])
+            ex = np.exp(2j * np.pi * n * g.x / g.L)
+            for m in range(g.ny + 1):
+                out += row[m] * np.outer(ex, basis(m * np.pi * g.y))
+        return out.real
+
+    def test_mixed_batch_matches_direct_sum_and_analyze_inverts(self):
+        g = sp.Grid(L=2.0, nx=16, ny=8)
+        rng = np.random.default_rng(31)
+        fields = [
+            sp.SpectralField(
+                g,
+                parity,
+                rng.standard_normal(g.coeff_shape)
+                + 1j * rng.standard_normal(g.coeff_shape),
+            )
+            for parity in (sp.SIN, sp.COS, sp.COS, sp.SIN, sp.COS)
+        ]
+        # the band's edges are occupied: the cos m = ny column, the n = nx/2 row
+        assert all(f.coeffs[:, -1].all() for f in fields if f.parity == sp.COS)
+        assert all(f.coeffs[-1, 1:-1].all() for f in fields)
+        for f, vals in zip(fields, sp.synthesize(fields)):
+            ref = self.direct_sum(f)
+            assert np.abs(vals - ref).max() < 1e-13 * np.abs(ref).max()
+            back = sp.analyze(g, vals, f.parity).coeffs
+            assert np.abs(back - f.coeffs).max() < 1e-13 * np.abs(f.coeffs).max()
+
+    @pytest.mark.parametrize("shape", [(16, 8), (64, 32), (128, 64)])
+    def test_sine_analysis_ignores_wall_values(self, shape):
+        g = sp.Grid(L=2.0, nx=shape[0], ny=shape[1])
+        vals = np.random.default_rng(32).standard_normal((3,) + g.shape)
+        zeroed = vals.copy()
+        zeroed[..., [0, -1]] = 0.0
+        nonfinite = vals.copy()
+        nonfinite[..., 0] = np.nan
+        nonfinite[..., -1] = -np.inf
+        want = [f.coeffs.tobytes() for f in sp.analyze(g, zeroed, sp.SIN)]
+        assert np.abs(vals[..., [0, -1]]).min() > 0.0
+        for walls in (vals, nonfinite):
+            got = [f.coeffs.tobytes() for f in sp.analyze(g, walls, sp.SIN)]
+            assert got == want
+        assert sp.analyze(g, vals[0], sp.SIN).coeffs.tobytes() == want[0]
+
+
+class TestNumpyOnly:
+    def test_package_runs_without_scipy(self):
+        # a fresh interpreter, so that nothing else in this pytest process has
+        # loaded scipy already
+        src = str(Path(sp.__file__).resolve().parents[1])
+        script = f"import sys; sys.path.insert(0, {src!r})\n" + textwrap.dedent(
+            """
+            import numpy as np
+            import benard_da, benard_da.cli
+            from benard_da import spectral as sp
+            g = sp.Grid(2.0, 16, 8)
+            f = sp.random_scalar(g, np.random.default_rng(0), sp.SIN)
+            back = sp.analyze(g, sp.synthesize(f), sp.SIN)
+            assert np.abs(back.coeffs - f.coeffs).max() < 1e-14
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
 class TestBatchedTransforms:
     """The batched kernel: stacks agree with single fields bit for bit, and
     the half layout is the only reality convention."""
@@ -177,8 +258,9 @@ class TestBatchedTransforms:
         assert [f.coeffs.tobytes() for f in fields] == inputs
 
     def test_threads_get_the_serial_results(self):
-        # scipy releases the GIL inside its FFTs; batches of one size on one
-        # grid must still not share a buffer across threads
+        # threads can switch between filling the coefficient buffer and
+        # transforming it; batches of one size on one grid must still not
+        # share a buffer across threads
         g = sp.Grid(L=2.0, nx=64, ny=32)
         batches = [self.mixed_fields(g, np.random.default_rng(s)) for s in (21, 22)]
         serial = [sp.synthesize(b) for b in batches]
