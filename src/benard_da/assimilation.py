@@ -8,7 +8,7 @@ the modal operator the nudging is folded into the implicit solve with
 end-of-step observation data, which keeps an already-synchronized pair
 synchronized to round-off and removes any dt restriction from large mu; for
 volume/nodal operators the force is explicit with start-of-step data and
-the stepper enforces dt <= 1/(2 mu).
+TwinConfig, like the stepper, refuses dt > 1/(2 mu).
 
 Both trajectories share one dt.  One lock-step loop advances the nudged
 copies, fed one step's observations at a time by one of two sources: the
@@ -56,6 +56,7 @@ from .stepping import (
     History,
     NudgingStep,
     StepperConfig,
+    _check_explicit_nudging,
     _step_count,
     integrate,
     step,
@@ -95,7 +96,8 @@ class TwinConfig:
     Each value has one home: params holds nu, kappa and mu, spec holds the
     observation kind and spacing h, and spec.grid holds L and the
     resolution.  sample_cadence counts steps between recorded samples.
-    epsilon scales the perturbed-truth initial policies.
+    epsilon scales the perturbed-truth initial policies.  Lengths are whole
+    steps; explicit (volume/nodal) nudging needs dt <= 1/(2 mu), as in step.
     """
 
     params: PhysicalParams
@@ -110,11 +112,12 @@ class TwinConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.spinup_time < 0:
-            raise ValueError("spinup_time must be nonnegative")
+        _step_count(self.spinup_time, self.stepper.dt, "spinup_time")
         if not (self.run_time > 0):
             raise ValueError("run_time must be positive")
-        _step_count(self.run_time, self.stepper.dt)
+        _step_count(self.run_time, self.stepper.dt, "run_time")
+        if self.spec.kind != MODAL:
+            _check_explicit_nudging(self.stepper.dt, self.params.mu)
         if self.v0_policy not in _POLICIES or self.eta0_policy not in _POLICIES:
             raise ValueError(f"initial policies must be one of {_POLICIES}")
         if self.sample_cadence < 1:

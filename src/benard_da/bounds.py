@@ -9,10 +9,10 @@ empirically estimated constants:
 - c1, the constant of the interior L4 interpolation inequality
   |phi|_{L4}^2 <= c1 |phi| |phi|_V, estimated by random sampling.
 
-The a-priori bounds produce growth exponents (a1, b1) that overflow to
-exp-scale infinities for strongly supercritical parameters; thresholds are
-then reported as inf rather than raising, and any finite configured mu
-compares as not satisfying them.
+The a-priori bounds overflow to exp-scale infinities for strongly
+supercritical parameters or a nu or kappa whose powers underflow; they
+and the thresholds are then reported as inf rather than raising, and any
+finite configured mu compares as not satisfying them.
 
 The decay certificate follows a sliding-window Gronwall argument: if every
 window integral of the damping coefficient is at least gamma > 0 and the
@@ -60,6 +60,11 @@ def _safe_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den for positive num; inf where den has underflowed to zero."""
+    return num / den if den > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,10 @@ def uniform_bounds(
     s = math.sqrt(lambda1)
     a2 = c * L / (nu * s)
     b2 = a2
-    a3 = c * L * (1.0 + s) / (nu**2 * lambda1)
-    b3 = c * L * (1.0 + nu * s) / (kappa * nu * s)
-    a1 = c * L * a3 / (nu**5 * lambda1)
-    b1 = c * L * a3 / (kappa**3 * nu**2 * lambda1)
+    a3 = _quotient(c * L * (1.0 + s), nu**2 * lambda1)
+    b3 = _quotient(c * L * (1.0 + nu * s), kappa * nu * s)
+    a1 = _quotient(c * L * a3, nu**5 * lambda1)
+    b1 = _quotient(c * L * a3, kappa**3 * nu**2 * lambda1)
     J0 = (a2 + a3) * _safe_exp(a1)
     J1 = (b2 + b3) * _safe_exp(b1)
     return BoundsReport(
@@ -139,7 +144,7 @@ def mu_threshold_type1(report: BoundsReport, c1: float) -> float:
     return (
         8.0 / (r.kappa * r.lambda1)
         + 8.0 * c1**2 * r.a3 / r.nu
-        + 8.0 * c1**4 * r.J1 * r.b3 / (r.kappa**2 * r.lambda1 * r.nu)
+        + _quotient(8.0 * c1**4 * r.J1 * r.b3, r.kappa**2 * r.lambda1 * r.nu)
     )
 
 
@@ -173,9 +178,12 @@ def mu_threshold_type2(
 
 
 def max_observation_spacing(mu: float, nu: float, c0: float) -> float:
-    """Largest h compatible with mu: the condition is mu c0^2 h^2 <= nu."""
-    if not (mu > 0 and nu > 0 and c0 > 0):
-        raise ValueError("mu, nu, c0 must be positive")
+    """Largest h with mu c0^2 h^2 <= nu: inf for an exact interpolant
+    (c0 = 0), 0 for an infinite mu."""
+    if not (mu > 0 and nu > 0 and c0 >= 0):
+        raise ValueError("mu and nu must be positive, c0 non-negative")
+    if c0 == 0:
+        return math.inf
     if math.isinf(mu):
         return 0.0
     return math.sqrt(nu / (mu * c0**2))

@@ -112,9 +112,8 @@ def _fit_manifest(series, run_time: float) -> dict:
 
 def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
     grid = cfg.grid()
-    p = cfg.physical_params()  # refuses bad nu, kappa, mu before the estimators
     lambda1 = stokes_smallest_eigenvalue(grid)
-    report = uniform_bounds(p.nu, p.kappa, cfg.L, lambda1)
+    report = uniform_bounds(cfg.nu, cfg.kappa, cfg.L, lambda1)
     c1 = estimate_ladyzhenskaya_constant(
         grid, sample_count=200, rng=np.random.default_rng([cfg.seed, 101])
     )
@@ -123,19 +122,10 @@ def _threshold_manifest(cfg: RunConfig, k3: Optional[float]) -> dict:
     )
     report = with_thresholds(report, c1=c1, c0=c0, K3=k3)
     d = report.as_dict()
-    d["lambda1"] = lambda1
-    if report.mu_min_type1 is not None:
-        if math.isinf(report.mu_min_type1):
-            d["h_max_at_mu_min_type1"] = 0.0
-        else:
-            d["h_max_at_mu_min_type1"] = max_observation_spacing(
-                report.mu_min_type1, p.nu, c0
-            )
-    d["mu_satisfies_type1"] = (
-        report.mu_min_type1 is not None and p.mu >= report.mu_min_type1
-    )
-    d["spacing_lhs_mu_c0sq_hsq"] = p.mu * c0**2 * cfg.h**2
-    d["spacing_satisfied"] = d["spacing_lhs_mu_c0sq_hsq"] <= p.nu
+    d["h_max_at_mu_min_type1"] = max_observation_spacing(report.mu_min_type1, cfg.nu, c0)
+    d["mu_satisfies_type1"] = cfg.mu >= report.mu_min_type1
+    d["spacing_lhs_mu_c0sq_hsq"] = cfg.mu * c0**2 * cfg.h**2
+    d["spacing_satisfied"] = d["spacing_lhs_mu_c0sq_hsq"] <= cfg.nu
     return d
 
 
@@ -189,9 +179,6 @@ def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
     wall = time.perf_counter() - started
 
     series = result.errors
-    csv_path = out / "errors.csv"
-    _write_errors_csv(csv_path, series)
-
     energy = series.energy()
     converged = bool(energy[-1] <= PRACTICAL_TARGET * energy[0])
     manifest = {
@@ -206,6 +193,8 @@ def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
         "thresholds": _threshold_manifest(cfg, result.truth_diagnostics.k3),
         "wall_time_s": wall,
     }
+    csv_path = out / "errors.csv"
+    _write_errors_csv(csv_path, series)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     rate = manifest["fit"]["rate"]
@@ -274,7 +263,6 @@ def _sweep_chunk(
 
 
 def cmd_sweep(cfg: RunConfig, workers: int) -> int:
-    cfg.twin_config()  # a config every row would reject fails before the spin-up
     mu_list = cfg.sweep_mu or (cfg.mu,)
     h_list = cfg.sweep_h or (cfg.h,)
     truth0, _ = spin_up(

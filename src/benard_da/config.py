@@ -7,8 +7,8 @@ of finite floats (empty for none); integer keys take integer literals
 only ("32", not "32.0" or "1e3").  Unknown keys are rejected; omitted
 keys take the defaults below; a config round-trips through
 dumps()/parse() unchanged.
-spinup_time and run_time must be whole multiples of dt; a run refuses
-any other length before its first step.
+A config is validated once, when it is built, by building every owner of
+its values through twin_config(); so every command refuses the same files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
 
-from .assimilation import TwinConfig
+from .assimilation import CUSTOM, TwinConfig
 from .model import PhysicalParams
 from .observations import KINDS, InterpolantSpec
 from .spectral import Grid
@@ -67,12 +67,14 @@ class RunConfig:
         # the checkpoint header stores the seed as a signed 64-bit integer
         if not (0 <= self.seed < 2**63):
             raise ConfigError(f"seed must lie in [0, 2**63 - 1], got {self.seed}")
-        # refused here, so that sweep fails before its spin-up and
-        # check-conditions refuses the same files
         for key in ("sweep_mu", "sweep_h"):
             for v in getattr(self, key):
                 if not math.isfinite(v):
                     raise ConfigError(f"{key} entries must be finite, got {v}")
+        for key in ("v0_policy", "eta0_policy"):
+            if getattr(self, key) == CUSTOM:
+                raise ConfigError(f"{key} = custom needs a state, which no file holds")
+        self.twin_config()  # an owner's ValueError passes through unchanged
 
     def grid(self) -> Grid:
         return Grid(self.L, self.nx, self.ny, self.dealias_fraction)
@@ -143,8 +145,6 @@ def parse(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
     try:
         return RunConfig(**values)
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -109,7 +109,10 @@ def modal_projection_mask(spec: InterpolantSpec) -> np.ndarray:
         raise ValueError(f"projection mask is defined for modal specs, not {spec.kind!r}")
     g = spec.grid
     k2 = g.kx[:, None] ** 2 + g.ky[None, :] ** 2
-    mask = k2 <= (1.0 / spec.h) ** 2
+    try:
+        mask = k2 <= (1.0 / spec.h) ** 2
+    except OverflowError:  # so fine an h keeps every mode
+        mask = np.ones_like(k2, dtype=bool)
     mask.flags.writeable = False
     return mask
 

@@ -86,10 +86,6 @@ COS = "cos"
 SIN = "sin"
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid:
     """Discretization of (0, L) x (0, 1): nx Fourier modes by ny + 1 wall modes.
@@ -122,11 +118,11 @@ class Grid:
         if not (0 < self.L < np.inf):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 8 or not _is_power_of_two(n):
+            if n < 8 or n & (n - 1):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n}")
-        if not (0 < self.dealias_fraction <= 1):
+        if not (1 / self.ny <= self.dealias_fraction <= 1):  # keeps a sine mode
             raise ValueError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
+                f"dealias_fraction must lie in [1/ny, 1], got {self.dealias_fraction}"
             )
 
         def put(name: str, arr: np.ndarray) -> None:

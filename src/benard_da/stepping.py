@@ -138,7 +138,7 @@ def _check_finite(c: np.ndarray, last_time: float, time: float, label: Optional[
     raise BlowUpError(time, label, field, (int(n), int(m)), peak, last_time)
 
 
-def _step_count(length: float, dt: float) -> int:
+def _step_count(length: float, dt: float, name: str = "length") -> int:
     """Number of dt steps spanning length.
 
     length must be finite, nonnegative and a whole multiple of dt (to a
@@ -148,9 +148,14 @@ def _step_count(length: float, dt: float) -> int:
     steps = round(n) if math.isfinite(n) else -1
     if steps < 0 or not abs(n - steps) <= 1e-9 * n:
         raise ValueError(
-            f"length {length} is not a nonnegative whole multiple of dt={dt}"
+            f"{name} {length} is not a nonnegative whole multiple of dt={dt}"
         )
     return steps
+
+
+def _check_explicit_nudging(dt: float, mu: float) -> None:
+    if mu > 0 and dt > 0.5 / mu:
+        raise ValueError(f"explicit nudging requires dt <= 1/(2 mu): dt={dt}, mu={mu}")
 
 
 def _diffusion_factors(
@@ -231,10 +236,7 @@ def step(
 
     if nudging is not None and nudging.mu > 0:
         if nudging.force is not None:
-            if dt > 0.5 / nudging.mu:
-                raise ValueError(
-                    f"explicit nudging requires dt <= 1/(2 mu): dt={dt}, mu={nudging.mu}"
-                )
+            _check_explicit_nudging(dt, nudging.mu)
             c[0] += dt * nudging.force.u1.coeffs
             c[1] += dt * nudging.force.u2.coeffs
         else:

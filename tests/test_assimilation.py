@@ -102,6 +102,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="spinup"):
             twin_config(spinup_time=-1.0)
 
+    def test_spinup_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="spinup_time 0.0031 is not .* whole multiple"):
+            twin_config(spinup_time=0.0031, stepper=StepperConfig(dt=1e-3))
+        assert twin_config(spinup_time=0.0).spinup_time == 0.0
+
+    @pytest.mark.parametrize("kind", [VOLUME, NODAL])
+    def test_explicit_kinds_refuse_step_beyond_half_inverse_mu(self, kind):
+        # the message is step's own, so a sweep row reads the same either way
+        spec = InterpolantSpec(kind, 0.2, GRID)
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=300.0)
+        with pytest.raises(ValueError) as e:
+            twin_config(params=params, spec=spec)
+        assert str(e.value) == "explicit nudging requires dt <= 1/(2 mu): dt=0.002, mu=300.0"
+        assert twin_config(params=dataclasses.replace(params, mu=250.0), spec=spec)
+        assert twin_config(params=params, spec=InterpolantSpec(MODAL, 0.2, GRID))
+
     def test_custom_policy_needs_state(self):
         cfg = twin_config(v0_policy=CUSTOM, spinup_time=0.0)
         with pytest.raises(ValueError, match="custom"):
@@ -300,10 +316,14 @@ class TestSharedTruth:
 
     def test_failures_stop_only_their_copy(self, attractor_state):
         # dt = 2e-3 exceeds 1/(2 mu) at mu = 1e6, and a 1e11 perturbation
-        # blows the copy up; neither may touch the bits of the others
+        # blows the copy up; neither may touch the bits of the others.
+        # TwinConfig refuses mu = 1e6 when it is built, so the stiff copy's
+        # params are swapped in afterwards, for step's own check to meet
+        stiff = row_config(VOLUME, 20.0, 0.2)
+        object.__setattr__(stiff, "params", dataclasses.replace(stiff.params, mu=1e6))
         configs = [
             row_config(VOLUME, 20.0, 0.2),
-            row_config(VOLUME, 1e6, 0.2),
+            stiff,
             row_config(VOLUME, 20.0, 0.2, v0_policy=PERTURBED_TRUTH, epsilon=1e11),
             row_config(VOLUME, 10.0, 0.25),
         ]

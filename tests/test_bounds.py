@@ -119,6 +119,16 @@ class TestThresholdProperties:
         t3 = mu_threshold_type2(r, 1.0, r.J0, r.J1, 3.0)
         assert close(t3 - t2, t2 - t1)
 
+    @pytest.mark.parametrize("nu, kappa", [(1e-300, 1.0), (1.0, 1e-300)])
+    def test_underflowing_powers_give_infinite_bounds(self, nu, kappa):
+        # nu**5 or kappa**3 underflows to zero; the bounds are reported as inf
+        r = uniform_bounds(nu, kappa, 2.0, math.pi**2)
+        assert math.isinf(r.b1) and math.isinf(r.J1)
+        assert math.isinf(mu_threshold_type1(r, 0.5))
+        assert math.isinf(with_thresholds(r, c1=0.5, K3=1.0).mu_min_type2)
+        if nu < 1.0:
+            assert math.isinf(r.a3) and math.isinf(r.a1) and math.isinf(r.J0)
+
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):
             uniform_bounds(-1.0, 1.0, 1.0, 1.0)
@@ -141,6 +151,20 @@ class TestObservationSpacing:
 
     def test_infinite_mu_gives_zero(self):
         assert max_observation_spacing(math.inf, 1.0, 1.0) == 0.0
+
+    def test_exact_interpolant_allows_every_spacing(self):
+        # c0 = 0: mu c0^2 h^2 <= nu holds at every h
+        assert max_observation_spacing(50.0, 1.0, 0.0) == math.inf
+        assert max_observation_spacing(math.inf, 1.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize(
+        "mu, nu, c0",
+        [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -0.5),
+         (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)],
+    )
+    def test_negative_or_nan_input_refused(self, mu, nu, c0):
+        with pytest.raises(ValueError):
+            max_observation_spacing(mu, nu, c0)
 
     def test_strictly_decreasing_in_mu(self):
         hs = [max_observation_spacing(mu, 0.5, 0.7) for mu in (1.0, 2.0, 5.0, 50.0)]

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 import struct
 import subprocess
 import sys
@@ -49,12 +51,14 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**kw)
 
 
-def sweep_list_config(cfg: RunConfig, key: str, bad: str) -> str:
-    """Config text whose sweep list `key` is 10.0 and then `bad`, which the
-    RunConfig constructor would refuse."""
+def config_text(cfg: RunConfig, **values) -> str:
+    """Config text of cfg with the given keys set to values that the
+    RunConfig constructor would refuse, so that only a command meets them."""
     text = dumps(cfg)
-    assert f"\n{key} = \n" in text
-    return text.replace(f"\n{key} = \n", f"\n{key} = 10.0,{bad}\n")
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
+    return text
 
 
 class TestConfig:
@@ -275,9 +279,8 @@ class TestSpinupCommand:
     )
     def test_bad_step_or_length_exits_2_without_checkpoint(self, tmp_path, overrides):
         out = tmp_path / "out"
-        cfg = small_config(output_dir=str(out), **overrides)
         p = tmp_path / "run.cfg"
-        save(cfg, p)
+        p.write_text(config_text(small_config(output_dir=str(out)), **overrides))
         assert main(["spinup", "--config", str(p)]) == EXIT_CONFIG
         # not even an empty output directory is left behind
         assert not out.exists()
@@ -286,7 +289,8 @@ class TestSpinupCommand:
     def test_infinite_length_exits_2_naming_L(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         p = tmp_path / "run.cfg"
-        save(small_config(nx=8, ny=8, L=np.inf, spinup_time=0.01, output_dir=str(out)), p)
+        cfg = small_config(nx=8, ny=8, spinup_time=0.01, output_dir=str(out))
+        p.write_text(config_text(cfg, L=np.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, "--config", str(p)]) == EXIT_CONFIG
@@ -447,12 +451,125 @@ class TestInfiniteRunTime:
         monkeypatch.setattr(assimilation, "step", no_integration)
         _, _, ckpt = twin_workspace
         p = tmp_path / "run.cfg"
-        save(small_config(run_time=np.inf, output_dir=str(tmp_path / "out")), p)
+        cfg = small_config(output_dir=str(tmp_path / "out"))
+        p.write_text(config_text(cfg, run_time=np.inf))
         argv = [command, "--config", str(p)]
         if command == "twin":
             argv.append(str(ckpt))
         assert main(argv) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+
+# files that every command refuses when it loads them: values the owners
+# refuse, a length that is not whole steps, an explicit kind beyond
+# dt <= 1/(2 mu), and the custom policies, which need a state a file cannot hold
+REFUSED_AT_LOAD = {
+    "v0_policy=bogus": (dict(v0_policy="bogus"), "initial policies must be one of"),
+    "epsilon=nan": (dict(epsilon=np.nan), "epsilon must be non-negative and finite, got nan"),
+    "sample_cadence=0": (dict(sample_cadence=0), "sample_cadence must be at least 1"),
+    "h=nan": (dict(h=np.nan), "h must be positive"),
+    "partial-run": (dict(run_time=0.0031), "run_time 0.0031 is not a nonnegative whole"),
+    "partial-spinup": (
+        dict(spinup_time=0.0031), "spinup_time 0.0031 is not a nonnegative whole"
+    ),
+    "nodal-dt-beyond-1/(2mu)": (
+        dict(interpolant_kind="nodal", mu=200.0, dt=0.01),
+        "explicit nudging requires dt <= 1/(2 mu): dt=0.01, mu=200.0",
+    ),
+    "v0_policy=custom": (dict(v0_policy="custom"), "v0_policy = custom needs a state"),
+    "eta0_policy=custom": (dict(eta0_policy="custom"), "eta0_policy = custom needs a state"),
+    "dealias_fraction=1e-300": (
+        dict(dealias_fraction=1e-300), "dealias_fraction must lie in [1/ny, 1], got 1e-300"
+    ),
+}
+
+
+class TestRefusedAtLoad:
+    @pytest.mark.parametrize("command", ["spinup", "twin", "sweep", "check-conditions"])
+    @pytest.mark.parametrize("case", sorted(REFUSED_AT_LOAD))
+    def test_exits_2_before_any_step_without_directory(
+        self, twin_workspace, tmp_path, capsys, monkeypatch, command, case
+    ):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before refusing the config")
+
+        monkeypatch.setattr(cli, "spin_up", no_integration)
+        monkeypatch.setattr(assimilation, "step", no_integration)
+        values, message = REFUSED_AT_LOAD[case]
+        _, _, ckpt = twin_workspace
+        out = tmp_path / "out"
+        p = tmp_path / "run.cfg"
+        p.write_text(config_text(small_config(output_dir=str(out)), **values))
+        argv = [command, "--config", str(p)] + ([str(ckpt)] if command == "twin" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneValidation:
+    """check-conditions, spinup and sweep read every file alike.
+
+    One key at a time takes each adversarial value on an 8x8 one-step base.
+    Each command exits 0, 2 or 3, prints no traceback, leaves no output_dir
+    when it fails, and all three give one exit code per file.  A sweep row
+    that its own (mu, h) makes invalid fails in its row, as the sweep
+    reports it; the sweep still exits 0.
+    """
+
+    BASE = dict(
+        nx=8, ny=8, dt=0.01, spinup_time=0.01, run_time=0.01, sample_cadence=1,
+        output_dir="out",
+    )
+    VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1e-300", "1e400", str(2**64), ""]
+    # valid values that only lengthen the run: about 1e21 steps for a length
+    # of 2**64, 1e298 for a step of 1e-300.  Only check-conditions, which
+    # takes no step, reads them.
+    LONG = {("spinup_time", str(2**64)), ("run_time", str(2**64)), ("dt", "1e-300")}
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_commands_agree(self, tmp_path, monkeypatch, capsys, key):
+        for i, value in enumerate(self.VALUES):
+            values = {**self.BASE, key: value}
+            long = (key, value) in self.LONG
+            commands = ["check-conditions"] if long else ["check-conditions", "spinup", "sweep"]
+            codes = []
+            for command in commands:
+                where = f"{command} with {key} = {value!r}"
+                run_dir = tmp_path / f"{i}-{command}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+                code = main([command, "--config", "run.cfg"])
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP), f"{where}: {err}"
+                assert "Traceback" not in err, where
+                if code != EXIT_OK:
+                    assert not Path(values["output_dir"]).exists(), where
+                codes.append(code)
+            assert len(set(codes)) == 1, f"{key} = {value!r}: {dict(zip(commands, codes))}"
+
+
+class TestExactInterpolant:
+    def test_spacing_condition_holds_at_every_h(self, tmp_path, capsys):
+        # every retained mode of the 8x8 grid has |k| < 1/h = 20, so the
+        # modal interpolant is exact and c0 = 0
+        out = tmp_path / "out"
+        cfg = small_config(
+            nx=8, ny=8, L=2.0, nu=1.0, kappa=1.0, h=0.05, spinup_time=0.1,
+            run_time=0.1, sample_cadence=1, output_dir=str(out),
+        )
+        p = tmp_path / "run.cfg"
+        save(cfg, p)
+        assert main(["check-conditions", "--config", str(p)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "  c0 = 0.0\n" in printed
+        assert "  spacing_satisfied = True\n" in printed
+        assert main(["spinup", "--config", str(p)]) == EXIT_OK
+        assert main(["twin", "--config", str(p), str(out / "truth.ckpt")]) == EXIT_OK
+        thresholds = json.loads((out / "manifest.json").read_text())["thresholds"]
+        assert thresholds["c0"] == 0.0
+        assert thresholds["spacing_satisfied"] is True
+        assert thresholds["h_max_at_mu_min_type1"] == math.inf
 
 
 class TestSweepCommand:
@@ -521,15 +638,15 @@ class TestSweepCommand:
     def test_partial_spinup_step_leaves_no_directory(self, tmp_path):
         out = tmp_path / "out"
         p = tmp_path / "sweep.cfg"
-        cfg = small_config(nx=8, ny=8, spinup_time=0.0031, dt=1e-3, output_dir=str(out))
-        save(cfg, p)
+        cfg = small_config(nx=8, ny=8, output_dir=str(out))
+        p.write_text(config_text(cfg, spinup_time=0.0031, dt=1e-3))
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert not out.exists()
 
     def test_nan_mu_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         p = tmp_path / "sweep.cfg"
-        save(small_config(nx=8, ny=8, mu=np.nan, output_dir=str(out)), p)
+        p.write_text(config_text(small_config(nx=8, ny=8, output_dir=str(out)), mu=np.nan))
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert "mu must be non-negative and finite, got nan" in capsys.readouterr().err
         assert not out.exists()
@@ -543,9 +660,9 @@ class TestSweepCommand:
         out = tmp_path / "out"
         p = tmp_path / "sweep.cfg"
         cfg = small_config(
-            nx=8, ny=8, v0_policy="perturbed-truth", epsilon=epsilon, output_dir=str(out)
+            nx=8, ny=8, v0_policy="perturbed-truth", output_dir=str(out)
         )
-        save(cfg, p)
+        p.write_text(config_text(cfg, epsilon=epsilon))
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"epsilon must be non-negative and finite, got {epsilon}" in err
@@ -562,9 +679,8 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "spin_up", no_spin_up)
         out = tmp_path / "out"
         p = tmp_path / "sweep.cfg"
-        p.write_text(
-            sweep_list_config(small_config(nx=8, ny=8, output_dir=str(out)), key, bad)
-        )
+        cfg = small_config(nx=8, ny=8, output_dir=str(out))
+        p.write_text(config_text(cfg, **{key: f"10.0,{bad}"}))
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert f"{key} entries must be finite, got {bad}" in capsys.readouterr().err
         assert not out.exists()
@@ -600,7 +716,7 @@ class TestSweepCommand:
             random_solenoidal(grid, rng, norm=1e8),
             random_scalar(grid, rng, SIN, norm=1e8),
         )
-        cfg = small_config(dt=1.0, run_time=10.0, nu=1e-8, kappa=1e-8)
+        cfg = small_config(dt=1.0, spinup_time=1.0, run_time=10.0, nu=1e-8, kappa=1e-8)
         rows = cli._sweep_chunk((cfg, [(40.0, 0.2), (10.0, 0.2), (40.0, 0.5)], big))
         row = rows[0]
         assert row["error"].startswith("blow-up: solution blew up in truth at t = ")
@@ -663,7 +779,7 @@ class TestCheckConditionsCommand:
     @pytest.mark.parametrize("key", ["sweep_mu", "sweep_h"])
     def test_non_finite_sweep_list_exit_code(self, tmp_path, capsys, key):
         p = tmp_path / "cc.cfg"
-        p.write_text(sweep_list_config(small_config(nx=8, ny=8), key, "inf"))
+        p.write_text(config_text(small_config(nx=8, ny=8), **{key: "10.0,inf"}))
         assert main(["check-conditions", "--config", str(p)]) == EXIT_CONFIG
         assert f"{key} entries must be finite, got inf" in capsys.readouterr().err
 
@@ -671,7 +787,8 @@ class TestCheckConditionsCommand:
     def test_infinite_viscosity_named(self, tmp_path, capsys, command):
         # both commands give the PhysicalParams message, not a threshold's
         p = tmp_path / "cc.cfg"
-        save(small_config(nx=8, ny=8, nu=np.inf, output_dir=str(tmp_path / "out")), p)
+        cfg = small_config(nx=8, ny=8, output_dir=str(tmp_path / "out"))
+        p.write_text(config_text(cfg, nu=np.inf))
         assert main([command, "--config", str(p)]) == EXIT_CONFIG
         assert "nu must be positive and finite, got inf" in capsys.readouterr().err
 

@@ -135,6 +135,10 @@ class TestModal:
         rhs = inner_h(f.u1, og.u1) + inner_h(f.u2, og.u2)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+    def test_spacing_too_fine_to_square_keeps_every_mode(self, grid):
+        # (1/h)**2 overflows; the mask is the whole spectrum, not an error
+        assert modal_projection_mask(InterpolantSpec(MODAL, 1e-300, grid)).all()
+
     def test_identity_when_band_fully_observed(self, grid):
         kmax = float(np.sqrt(grid.lam[grid.dealias_mask].max()))
         spec = InterpolantSpec(MODAL, 0.9 / kmax, grid)

@@ -44,6 +44,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             sp.Grid(L=0.0, nx=16, ny=16)
 
+    @pytest.mark.parametrize("fraction", [1e-300, 0.12, np.nan])
+    def test_rejects_band_without_sine_mode(self, fraction):
+        # floor(fraction * ny) = 0 keeps only m = 0, where the sine basis vanishes
+        with pytest.raises(ValueError, match="dealias_fraction"):
+            sp.Grid(L=2.0, nx=8, ny=8, dealias_fraction=fraction)
+        g = sp.Grid(L=2.0, nx=8, ny=8, dealias_fraction=1 / 8)
+        assert sp.stokes_smallest_eigenvalue(g) == pytest.approx(np.pi**2)
+
     def test_wavenumber_conventions(self):
         g = sp.Grid(L=2.0, nx=16, ny=8)
         assert g.coeff_shape == (9, 9) and g.shape == (16, 9)
