@@ -60,7 +60,6 @@ from .stepping import (
     _step_count,
     integrate,
     step,
-    tendency_history,
 )
 
 __all__ = [
@@ -228,8 +227,6 @@ def _initial_state(
         noise = random_solenoidal(g, rng, norm=cfg.epsilon)
         vel = truth.velocity + noise
     else:
-        if v0 is None:
-            raise ValueError("v0_policy='custom' requires an explicit v0")
         vel = v0
     if cfg.eta0_policy == ZERO:
         tem = SpectralField.zeros(g, SIN)
@@ -237,8 +234,6 @@ def _initial_state(
         noise = random_scalar(g, rng, SIN, norm=cfg.epsilon)
         tem = truth.temperature + noise
     else:
-        if eta0 is None:
-            raise ValueError("eta0_policy='custom' requires an explicit eta0")
         tem = eta0
     return State(vel, tem, truth.time)
 
@@ -468,7 +463,8 @@ def run_twin(
     stepper and run_time, and without truth0 on spinup_time and seed.
 
     truth0 skips the spin-up (a reloaded checkpoint, typically); v0 and
-    eta0 serve every custom-policy copy.  The returned series sample the
+    eta0 serve every custom-policy copy, and a custom policy without its
+    state is refused before the spin-up.  The returned series sample the
     state every cfg.sample_cadence steps, starting with the initial pair.
     record_to, if given, is a path that receives the coarse observation
     stream; it takes a single config only.
@@ -486,6 +482,9 @@ def run_twin(
             "configs of one run must agree on the grid, nu, kappa, stepper"
             " and run_time (and spinup_time and seed without truth0)"
         )
+    for name, given in (("v0", v0), ("eta0", eta0)):
+        if given is None and any(getattr(c, f"{name}_policy") == CUSTOM for c in configs):
+            raise ValueError(f"{name}_policy='custom' requires an explicit {name}")
     g = first.spec.grid
     if truth0 is None:
         truth, t_hist = spin_up(
@@ -635,13 +634,6 @@ def run_temperature_slaving(
     squared norm contracts at least as fast as thermal conduction on the
     gravest mode, whatever the carrier does.  theta_a and theta_b ride as
     passengers of truth0 in one integrate() call.
-
-    The run starts from its own tendency history, so the diffusion is
-    trapezoidal from the first step.  A plain startup step treats
-    diffusion explicitly and overshoots the conduction envelope by
-    (kappa lambda1 dt)^2/2 relative, which is visible when checking the
-    contract to round-off; the trapezoidal factor always sits below the
-    exact exponential.
     """
     if sample_cadence < 1:
         raise ValueError(f"sample_cadence must be at least 1, got {sample_cadence}")
@@ -655,7 +647,7 @@ def run_temperature_slaving(
     sample(s0)
     integrate(
         s0, params, stepper, s0.time + run_time, ((sample_cadence, sample),),
-        history=tendency_history(s0, stepper), label="truth",
+        label="truth",
     )
     return SlavingSeries(np.array(times), np.array(gaps))
 

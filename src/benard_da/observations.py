@@ -5,8 +5,8 @@ Three kinds at resolution h on the solver's own grid:
 - "modal": orthogonal projection onto wavenumber pairs with Euclidean
   modulus |k| <= 1/h.  Idempotent and self-adjoint.
 - "volume": averages over a partition of the domain into ceil(L/h) x
-  ceil(1/h) rectangles (cell side <= h), re-expanded spectrally by exact
-  quadrature of the piecewise-constant extension.
+  ceil(1/h) rectangles (cell side <= h; at most nx x ny), re-expanded
+  spectrally by exact quadrature of the piecewise-constant extension.
 - "nodal": point samples at the cell centers of the same partition,
   extended piecewise-constant and re-expanded the same way.
 
@@ -92,9 +92,17 @@ class InterpolantSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not (self.h > 0):
             raise ValueError("h must be positive")
-        if self.h > min(self.grid.L, 1.0):
+        g = self.grid
+        if self.h > min(g.L, 1.0):
             raise ValueError(
-                f"h={self.h} exceeds the domain size min(L, 1) = {min(self.grid.L, 1.0)}"
+                f"h={self.h} exceeds the domain size min(L, 1) = {min(g.L, 1.0)}"
+            )
+        # cells cost 1/h^2; ceil(c) > n exactly when c > n, so inf needs no ceil
+        finer = _cells(g.L, self.h) > g.nx or _cells(1.0, self.h) > g.ny
+        if self.kind != MODAL and finer:
+            raise ValueError(
+                f"{self.kind} h={self.h} is finer than the {g.nx}x{g.ny} grid"
+                f" (L={g.L}): ceil(L/h) must not exceed nx, nor ceil(1/h) ny"
             )
 
     @property
@@ -117,12 +125,15 @@ def modal_projection_mask(spec: InterpolantSpec) -> np.ndarray:
     return mask
 
 
+def _cells(length: float, h: float) -> float:
+    """length / h, shrunk so that float junk cannot push its ceil, the cell count, up."""
+    return length / h * (1.0 - 1e-12)
+
+
 def cell_partition(spec: InterpolantSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Cell edge coordinates (x_edges, y_edges) of the coarse partition."""
     g = spec.grid
-    # Guard against float junk in L/h pushing ceil one cell too far.
-    mx = math.ceil(g.L / spec.h * (1.0 - 1e-12))
-    my = math.ceil(1.0 / spec.h * (1.0 - 1e-12))
+    mx, my = math.ceil(_cells(g.L, spec.h)), math.ceil(_cells(1.0, spec.h))
     return np.linspace(0.0, g.L, mx + 1), np.linspace(0.0, 1.0, my + 1)
 
 
@@ -245,17 +256,16 @@ def approximation_samples(
     spec: InterpolantSpec,
     sample_count: int,
     rng: Optional[np.random.Generator] = None,
-    decay_scale: Optional[float] = None,
 ) -> Iterator[VectorField]:
     """The random sample family behind the reported approximation constant.
 
-    Unless decay_scale is given, samples alternate between fields
-    concentrated in a spectral shell around pi/h, the first zero of the
-    cell-averaging kernel, where the error ratio is extremal, and broadband
-    fields; smooth samples alone would give an optimistically small
-    constant.  The shell is capped at the grid's dealiasing band so that an
-    under-resolved h probes the grid, not nothing.  Replaying the same rng
-    reproduces the family sample for sample.
+    Samples alternate between fields concentrated in a spectral shell
+    around pi/h, the first zero of the cell-averaging kernel, where the
+    error ratio is extremal, and broadband fields; smooth samples alone
+    would give an optimistically small constant.  The shell is capped at
+    the grid's dealiasing band so that an under-resolved h probes the grid,
+    not nothing.  Replaying the same rng reproduces the family sample for
+    sample.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -265,9 +275,7 @@ def approximation_samples(
     band_edge = float(np.sqrt(g.lam[g.dealias_mask].max()))
     shell_k = min(np.pi / spec.h, 0.8 * band_edge)
     for i in range(sample_count):
-        if decay_scale is not None:
-            w = random_solenoidal(g, rng, norm=1.0, decay_scale=decay_scale)
-        elif i % 2 == 0:
+        if i % 2 == 0:
             w = _shell_solenoidal(g, rng, shell_k)
             if w is None:
                 w = random_solenoidal(g, rng, norm=1.0)
@@ -280,7 +288,6 @@ def estimate_approximation_constant(
     spec: InterpolantSpec,
     sample_count: int,
     rng: Optional[np.random.Generator] = None,
-    decay_scale: Optional[float] = None,
 ) -> float:
     """Empirical constant c0 of the approximation bound for this operator.
 
@@ -289,7 +296,7 @@ def estimate_approximation_constant(
     the nodal kind the max root of the two-term quadratic in c0^2.
     """
     worst = 0.0
-    for w in approximation_samples(spec, sample_count, rng, decay_scale):
+    for w in approximation_samples(spec, sample_count, rng):
         err = norm_h(leray_project(w - observe(w, spec)))
         if spec.uses_two_term_bound:
             a = 0.5 * spec.h**2 * norm_v(w) ** 2

@@ -117,13 +117,18 @@ class Grid:
     def __post_init__(self) -> None:
         if not (0 < self.L < np.inf):
             raise ValueError(f"L must be positive and finite, got {self.L}")
+        # the checkpoint header stores nx and ny as uint32
         for name, n in (("nx", self.nx), ("ny", self.ny)):
-            if n < 8 or n & (n - 1):
-                raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+            if not 8 <= n < 2**32 or n & (n - 1):
+                raise ValueError(f"{name} must be a power of two in [8, 2**31], got {n}")
         if not (1 / self.ny <= self.dealias_fraction <= 1):  # keeps a sine mode
             raise ValueError(
                 f"dealias_fraction must lie in [1/ny, 1], got {self.dealias_fraction}"
             )
+        # the largest lam, in python floats, which overflow to inf without a warning
+        kx, ky = np.pi * float(self.nx) / float(self.L), np.pi * float(self.ny)
+        if not np.isfinite(kx * kx + ky * ky):
+            raise ValueError(f"L={self.L} is too small for nx={self.nx}: lam overflows")
 
         def put(name: str, arr: np.ndarray) -> None:
             arr.flags.writeable = False

@@ -1,15 +1,15 @@
 """IMEX time stepping: implicit per-mode diffusion, explicit advection.
 
-The scheme is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
-explicit terms) with an IMEX-Euler startup step when no history is supplied.
-Every step has the one length StepperConfig.dt, so the AB2 weights are the
-constants 3/2 and -1/2.  A run spans a whole number of such steps: a length
-that is negative, not finite or not a whole multiple of dt is refused
-before any step.  The explicit-tendency history travels alongside the
-state so that a resumed integration reproduces an uninterrupted one bit
-for bit; tendency_history(s) primes a start instead, CNAB2 from its first
-step.  One kernel, step(), advances the velocity, the temperature and the
-passive temperatures of State.passengers as the rows of one stack.
+Every step is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
+explicit terms; Ascher-Ruuth-Wetton 1995).  Every step has the one length
+StepperConfig.dt, so the AB2 weights are the constants 3/2 and -1/2.  The
+explicit-tendency history travels alongside the state so that a resumed
+integration reproduces an uninterrupted one bit for bit; a step given no
+history takes its own start-of-step tendencies as the previous ones.  A
+run spans a whole number of steps: a length that is negative, not finite
+or not a whole multiple of dt is refused before any step.  One kernel,
+step(), advances the velocity, the temperature and the passive
+temperatures of State.passengers as the rows of one stack.
 
 Nudging enters in one of two prepared forms (built by the assimilation
 layer): a diagonal damping on observed modes folded into the implicit solve
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "History",
     "NudgingStep",
     "BlowUpError",
-    "tendency_history",
     "step",
     "integrate",
 ]
@@ -159,16 +158,11 @@ def _check_explicit_nudging(dt: float, mu: float) -> None:
 
 
 def _diffusion_factors(
-    diffusivity: float, dt: float, lam: np.ndarray, crank: bool
-) -> Tuple[Union[float, np.ndarray], np.ndarray]:
-    """(num, den) of the implicit diffusion update c_new = (num c + dt x) / den.
-
-    Crank-Nicolson when crank is set, backward Euler otherwise.
-    """
-    if crank:
-        half = 0.5 * dt * lam
-        return 1.0 - diffusivity * half, 1.0 + diffusivity * half
-    return 1.0, 1.0 + diffusivity * dt * lam
+    diffusivity: float, dt: float, lam: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Crank-Nicolson (num, den): c_new = (num c + dt x) / den."""
+    half = 0.5 * dt * lam
+    return 1.0 - diffusivity * half, 1.0 + diffusivity * half
 
 
 def tendency_history(
@@ -176,9 +170,8 @@ def tendency_history(
 ) -> History:
     """The explicit tendencies of s: the History a step from s returns.
 
-    Passed into the first step from s it primes that step, which is then
-    CNAB2 (trapezoidal diffusion) from the start.  Each passenger takes
-    theta's tendency u2 - (u.grad) passenger, without the forcing.
+    step()'s helper.  Each passenger takes theta's tendency
+    u2 - (u.grad) passenger, without the forcing.
     """
     vec, sc = explicit_rhs(s, forcing)
     rows = [vec.u1.coeffs, vec.u2.coeffs, sc.coeffs]
@@ -199,12 +192,13 @@ def step(
     history: Optional[History] = None,
     label: Optional[str] = None,
 ) -> Tuple[State, History]:
-    """Advance one step of cfg.dt; returns the new state and the new history.
+    """Advance one CNAB2 step of cfg.dt; returns the new state and history.
 
-    Without a history the step is the IMEX-Euler startup; with one it is
-    CNAB2, and the history must come from a step of the same dt and hold
-    one row per row of the state.  Passengers take kappa diffusion and the
-    start-of-step velocity; a blow-up in one names it "passenger k".
+    A given history must come from a step of the same dt and hold one row
+    per row of the state; without one, the step's own start-of-step
+    tendencies stand in for the previous ones.  Passengers take kappa
+    diffusion and the start-of-step velocity; a blow-up in one names it
+    "passenger k".
     """
     g, dt = s.grid, cfg.dt
     rows = 3 + len(s.passengers)
@@ -217,16 +211,12 @@ def step(
     # factors belong to the velocity pair (nu) and to the temperatures (kappa)
     e = new_history.tendencies
     c = np.empty_like(e)
-    crank = history is not None
-    if crank:
-        x = e * 1.5
-        np.multiply(history.tendencies, -0.5, out=c)
-        x += c
-        x *= dt
-    else:
-        x = e * dt
-    num_u, den_u = _diffusion_factors(p.nu, dt, g.lam, crank)
-    num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam, crank)
+    x = e * 1.5
+    np.multiply(e if history is None else history.tendencies, -0.5, out=c)
+    x += c
+    x *= dt
+    num_u, den_u = _diffusion_factors(p.nu, dt, g.lam)
+    num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam)
 
     u, temperatures = s.velocity, (s.temperature, *s.passengers)
     np.stack([u.u1.coeffs, u.u2.coeffs, *(f.coeffs for f in temperatures)], out=c)
@@ -272,8 +262,10 @@ def integrate(
 
     t_end - s0.time must be a whole number of steps of cfg.dt (zero
     returns s0 and history unchanged); anything else is refused before
-    any step.  Passing the returned history into a follow-up call makes
-    two integrations compose to one over their joint length bit-exactly.
+    any step.  Every step is CNAB2; without a history the first one
+    extrapolates from its own tendencies.  Passing the returned history
+    into a follow-up call makes two integrations compose to one over
+    their joint length bit-exactly.
     """
     observers = tuple(observers)
     for every, _ in observers:

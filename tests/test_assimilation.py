@@ -123,6 +123,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="custom"):
             run_twin(cfg)
 
+    @pytest.mark.parametrize("policy", ["v0", "eta0"])
+    def test_custom_policy_refused_before_spin_up(self, monkeypatch, policy):
+        def no_spin_up(*args, **kwargs):
+            raise AssertionError("spun up before refusing the policy")
+
+        monkeypatch.setattr(assimilation, "spin_up", no_spin_up)
+        cfg = twin_config(**{f"{policy}_policy": CUSTOM})
+        message = f"{policy}_policy='custom' requires an explicit {policy}"
+        with pytest.raises(ValueError, match=message):
+            run_twin(cfg)
+        with pytest.raises(ValueError, match=message):
+            run_twin([twin_config(), cfg])
+
     def test_series_times_must_increase(self):
         t = np.array([0.0, 1.0, 1.0])
         z = np.zeros(3)

@@ -462,7 +462,9 @@ class TestInfiniteRunTime:
 
 # files that every command refuses when it loads them: values the owners
 # refuse, a length that is not whole steps, an explicit kind beyond
-# dt <= 1/(2 mu), and the custom policies, which need a state a file cannot hold
+# dt <= 1/(2 mu), the custom policies, which need a state a file cannot hold,
+# a grid a checkpoint cannot hold or whose eigenvalues overflow, and volume or
+# nodal cells finer than the grid
 REFUSED_AT_LOAD = {
     "v0_policy=bogus": (dict(v0_policy="bogus"), "initial policies must be one of"),
     "epsilon=nan": (dict(epsilon=np.nan), "epsilon must be non-negative and finite, got nan"),
@@ -480,6 +482,15 @@ REFUSED_AT_LOAD = {
     "eta0_policy=custom": (dict(eta0_policy="custom"), "eta0_policy = custom needs a state"),
     "dealias_fraction=1e-300": (
         dict(dealias_fraction=1e-300), "dealias_fraction must lie in [1/ny, 1], got 1e-300"
+    ),
+    "nx=2**32": (dict(nx=2**32), "nx must be a power of two in [8, 2**31], got 4294967296"),
+    "L=1e-300": (dict(L=1e-300), "L=1e-300 is too small for nx=32"),
+    "volume-cells-beyond-nx": (
+        dict(interpolant_kind="volume", h=0.05), "volume h=0.05 is finer than the 32x16 grid"
+    ),
+    "nodal-cells-beyond-ny": (
+        dict(interpolant_kind="nodal", L=0.5, h=0.05),
+        "nodal h=0.05 is finer than the 32x16 grid",
     ),
 }
 

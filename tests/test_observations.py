@@ -14,6 +14,7 @@ from benard_da.observations import (
     NODAL,
     VOLUME,
     InterpolantSpec,
+    approximation_samples,
     cell_partition,
     estimate_approximation_constant,
     measure,
@@ -60,6 +61,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InterpolantSpec(MODAL, 1.5, grid)
         InterpolantSpec(MODAL, 1.0, grid)
+
+    @pytest.mark.parametrize("kind", [VOLUME, NODAL])
+    def test_cells_no_finer_than_grid(self, kind):
+        # ceil(L/h) <= nx and ceil(1/h) <= ny; the tight case is the bound
+        g = Grid(2.0, 16, 8)
+        InterpolantSpec(kind, 0.125, g)
+        for h, grid in ((0.1, g), (0.1, Grid(0.5, 16, 8)), (1e-300, g)):
+            with pytest.raises(ValueError, match=f"{kind} h={h} is finer than the 16x8"):
+                InterpolantSpec(kind, h, grid)
+        InterpolantSpec(MODAL, 1e-300, g)
 
     def test_scalar_fields_are_refused(self, grid):
         rng = np.random.default_rng(0)
@@ -229,14 +240,10 @@ class TestNodal:
     def test_two_term_bound_holds_with_reported_constant(self, grid):
         spec = InterpolantSpec(NODAL, 0.25, grid)
         seed = 6
-        c0 = estimate_approximation_constant(
-            spec, 30, rng=np.random.default_rng(seed), decay_scale=8.0
-        )
-        rng = np.random.default_rng(seed)
+        c0 = estimate_approximation_constant(spec, 30, rng=np.random.default_rng(seed))
         from benard_da.spectral import norm_laplacian
 
-        for _ in range(30):
-            w = random_solenoidal(grid, rng, norm=1.0, decay_scale=8.0)
+        for w in approximation_samples(spec, 30, np.random.default_rng(seed)):
             o = observe(w, spec)
             err = norm_h(leray_project(_difference(w, o)))
             bound = (
@@ -251,14 +258,10 @@ class TestApproximationBound:
     def test_one_term_bound_holds_with_reported_constant(self, grid, kind):
         spec = InterpolantSpec(kind, 0.25, grid)
         seed = 7
-        c0 = estimate_approximation_constant(
-            spec, 40, rng=np.random.default_rng(seed), decay_scale=10.0
-        )
+        c0 = estimate_approximation_constant(spec, 40, rng=np.random.default_rng(seed))
         # Replaying the same generator gives the same sample family, on
         # which the reported constant holds by construction.
-        rng = np.random.default_rng(seed)
-        for i in range(40):
-            w = random_solenoidal(grid, rng, norm=1.0, decay_scale=10.0)
+        for w in approximation_samples(spec, 40, np.random.default_rng(seed)):
             o = observe(w, spec)
             err = norm_h(leray_project(_difference(w, o)))
             assert err <= c0 * spec.h * norm_v(w) * (1.0 + 1e-12) + 1e-30

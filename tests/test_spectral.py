@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestGrid:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             sp.Grid(L=0.0, nx=16, ny=16)
+
+    @pytest.mark.parametrize("key", ["nx", "ny"])
+    @pytest.mark.parametrize("n", [2**32, 2**64])
+    def test_rejects_size_beyond_checkpoint_header(self, key, n):
+        # the checkpoint stores nx and ny as uint32; no array is allocated
+        sizes = {"nx": 8, "ny": 8, key: n}
+        with pytest.raises(ValueError, match=rf"{key} must be a power of two in \[8, 2\*\*31\]"):
+            sp.Grid(L=2.0, **sizes)
+
+    @pytest.mark.parametrize("length", [1e-300, 5e-324])
+    def test_rejects_length_whose_eigenvalues_overflow(self, length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"L={length} is too small"):
+                sp.Grid(L=length, nx=8, ny=8)
+            assert np.isfinite(sp.Grid(L=1e-150, nx=8, ny=8).lam).all()
 
     @pytest.mark.parametrize("fraction", [1e-300, 0.12, np.nan])
     def test_rejects_band_without_sine_mode(self, fraction):

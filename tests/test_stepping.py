@@ -63,14 +63,15 @@ class TestConfig:
 
 
 class TestDiffusionFactors:
-    def test_euler_startup_factor_exact(self, grid):
+    def test_startup_factor_is_crank_nicolson(self, grid):
+        # A step without history is CNAB2 too: trapezoidal diffusion.
         p = PhysicalParams(nu=0.5, kappa=0.25)
         dt = 0.005
         s0 = shear_state(grid)
         s1, _ = step(s0, p, StepperConfig(dt=dt))
         x = p.nu * np.pi**2 * dt
         got = s1.velocity.u1.coeffs[0, 1] / s0.velocity.u1.coeffs[0, 1]
-        assert abs(got - 1.0 / (1.0 + x)) < 1e-15
+        assert abs(got - (1.0 - 0.5 * x) / (1.0 + 0.5 * x)) < 1e-15
 
     def test_crank_nicolson_factor_exact(self, grid):
         p = PhysicalParams(nu=0.5, kappa=0.25)
@@ -84,9 +85,8 @@ class TestDiffusionFactors:
         assert abs(got - (1.0 - 0.5 * x) / (1.0 + 0.5 * x)) < 1e-15
 
     def test_decay_second_order_locally(self, grid):
-        # CN factor differs from exp(-x) by x^3/12 to leading order; the
-        # Euler startup by x^2/2. Both are O(dt^2) with scheme-specific
-        # constants; assert with measured margins.
+        # CN factor differs from exp(-x) by x^3/12 to leading order, on
+        # the first step as on later ones; assert with measured margins.
         p = PhysicalParams(nu=0.5, kappa=0.25)
         dt = 0.005
         x = p.nu * np.pi**2 * dt
@@ -298,7 +298,8 @@ class TestNudgingHooks:
         step(s, p, StepperConfig(dt=0.02), history=other)
 
     def test_implicit_nudging_damps_observed_mode(self, grid):
-        # Truth zero, observations zero: observed modes feel 1/(1 + mu dt).
+        # Truth zero, observations zero: observed modes feel the
+        # Crank-Nicolson factor with mu dt added to its denominator.
         p = PhysicalParams(nu=0.5, kappa=0.25)
         s = shear_state(grid)
         mu, dt = 200.0, 0.01
@@ -307,7 +308,7 @@ class TestNudgingHooks:
         nd = NudgingStep(mu=mu, observed_mask=mask, data1=zero, data2=zero)
         s1, _ = step(s, p, StepperConfig(dt=dt), nudging=nd)
         x = p.nu * np.pi**2 * dt
-        want = 1.0 / (1.0 + x + mu * dt)
+        want = (1.0 - 0.5 * x) / (1.0 + 0.5 * x + mu * dt)
         got = s1.velocity.u1.coeffs[0, 1].real
         assert abs(got - want) < 1e-14
 
