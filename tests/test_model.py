@@ -24,6 +24,7 @@ from benard_da.spectral import (
     VectorField,
     analyze,
     inner_h,
+    leray_project,
     norm_h,
     norm_v,
     random_scalar,
@@ -286,10 +287,15 @@ class TestEnergyLaw:
         from benard_da.stepping import StepperConfig, step
 
         rng = np.random.default_rng(7)
-        s = State(
-            random_solenoidal(grid, rng, norm=1.0, decay_scale=3.0),
-            random_scalar(grid, rng, "sin", norm=0.6, decay_scale=3.0),
-        )
+        # smoother than the package's random fields: envelope exp(-lam / 9)
+        envelope = np.exp(-grid.lam / 9.0) * grid.dealias_mask
+
+        def smooth(parity, norm):
+            f = analyze(grid, rng.standard_normal(grid.shape), parity) * envelope
+            return f * (norm / norm_h(f))
+
+        u = leray_project(VectorField(smooth("cos", 1.0), smooth("sin", 1.0)))
+        s = State(u * (1.0 / norm_h(u)), smooth("sin", 0.6))
         cfg = StepperConfig(dt=1e-4)
         hist = None
         states = [s]

@@ -155,8 +155,9 @@ class TestDenseOracle:
                 out += row[m] * np.outer(ex, basis(m * np.pi * g.y))
         return out.real
 
-    def test_mixed_batch_matches_direct_sum_and_analyze_inverts(self):
-        g = sp.Grid(L=2.0, nx=16, ny=8)
+    @pytest.mark.parametrize("shape", [(16, 8), (64, 32)])
+    def test_mixed_batch_matches_direct_sum_and_analyze_inverts(self, shape):
+        g = sp.Grid(L=2.0, nx=shape[0], ny=shape[1])
         rng = np.random.default_rng(31)
         fields = [
             sp.SpectralField(

@@ -1,8 +1,16 @@
 """Tests for the IMEX steppers: per-mode decay factors against the exact
 scalar ODE, bit-exact composition, stability, and the nudging hooks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import benard_da
 
 from benard_da.model import PhysicalParams, State
 from benard_da.spectral import (
@@ -472,3 +480,35 @@ class TestPassengers:
         with pytest.raises(BlowUpError, match=r"\|passenger 1\|") as ei:
             step(huge, self.p, self.cfg, label="truth")
         assert ei.value.field == "passenger 1"
+
+
+class TestBlasThreads:
+    def test_spin_up_bits_do_not_depend_on_blas_threads(self):
+        # the y transforms are BLAS products, which OpenBLAS splits across
+        # threads at these grids; the state must keep its bits.  One fresh
+        # interpreter per thread count: OpenBLAS reads it once, at load
+        src = str(Path(benard_da.__file__).resolve().parents[1])
+        script = f"import sys; sys.path.insert(0, {src!r})\n" + textwrap.dedent(
+            """
+            from benard_da.assimilation import spin_up
+            from benard_da.config import RunConfig
+            for nx, ny in ((128, 64), (256, 128)):
+                cfg = RunConfig(nx=nx, ny=ny)
+                s, _ = spin_up(cfg.physical_params(), cfg.grid(), cfg.stepper(), 0.1, seed=5)
+                for f in (s.velocity.u1, s.velocity.u2, s.temperature):
+                    print(f.coeffs.tobytes().hex())
+            """
+        )
+        runs = []
+        for threads in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert out.returncode == 0, out.stderr
+            runs.append(out.stdout.split())
+        assert len(runs[0]) == 6
+        assert runs[0] == runs[1]
