@@ -41,11 +41,14 @@ from .observations import (
     observe,
 )
 from .spectral import (
+    COS,
     SIN,
     Grid,
     SpectralField,
     VectorField,
-    leray_project,
+    _adopt,
+    _clean,
+    _leray_coeffs,
     norm_h,
     norm_laplacian,
     norm_v,
@@ -180,14 +183,25 @@ class TwinResult:
 def nudging_force(
     v: VectorField, u_obs: VectorField, spec: InterpolantSpec, mu: float
 ) -> VectorField:
-    """Feedback force -mu P[I_h(v) - u_obs]; u_obs must come from spec."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    """Feedback force -mu P[I_h(v) - u_obs]; u_obs must come from spec.
+
+    The difference, the projection and the scaling run on coefficient
+    arrays in the order of the field arithmetic, so the force has the bits
+    of -mu * leray_project(observe(v, spec) - u_obs); only the result is
+    built as fields.
+    """
+    if not (0 <= mu < math.inf):
+        raise ValueError(f"mu must be non-negative and finite, got {mu}")
     if v.grid != spec.grid or u_obs.grid != spec.grid:
         raise ValueError("velocity, observations, and spec must share one grid")
     if mu == 0.0:
         return VectorField.zeros(v.grid)
-    return -mu * leray_project(observe(v, spec) - u_obs)
+    g, o = spec.grid, observe(v, spec)
+    # the difference of two clean fields is clean; the projection's is not
+    p1, p2 = _leray_coeffs(g, o.u1.coeffs - u_obs.u1.coeffs, o.u2.coeffs - u_obs.u2.coeffs)
+    return VectorField(
+        _adopt(g, COS, -mu * _clean(p1, COS)), _adopt(g, SIN, -mu * _clean(p2, SIN))
+    )
 
 
 def spin_up(
@@ -238,24 +252,22 @@ def _initial_state(
     return State(vel, tem, truth.time)
 
 
+def _truth_diagnostics(truth: State) -> Tuple[float, float, float]:
+    """|u|_V, |theta|_V and |Au|^2 of a truth sample, shared by its copies."""
+    u = truth.velocity
+    return norm_v(u), norm_v(truth.temperature), norm_laplacian(u) ** 2
+
+
 class _SeriesAccumulator:
     def __init__(self) -> None:
         self.rows: List[Tuple[float, ...]] = []
 
-    def sample(self, truth: State, assim: State) -> None:
+    def sample(self, truth: State, assim: State, diagnostics: Tuple[float, ...]) -> None:
+        """Append the errors of assim against truth and truth's diagnostics."""
         w = truth.velocity - assim.velocity
         xi = truth.temperature - assim.temperature
         self.rows.append(
-            (
-                truth.time,
-                norm_h(w),
-                norm_v(w),
-                norm_h(xi),
-                norm_v(xi),
-                norm_v(truth.velocity),
-                norm_v(truth.temperature),
-                norm_laplacian(truth.velocity) ** 2,
-            )
+            (truth.time, norm_h(w), norm_v(w), norm_h(xi), norm_v(xi), *diagnostics)
         )
 
     def build(self) -> Tuple[ErrorSeries, TruthDiagnostics]:
@@ -423,11 +435,13 @@ def _lock_step(
         return
     try:
         for k, (truth, obs) in enumerate(feed, 1):
+            diagnostics = None
             for c in live:
                 try:
                     c.advance(obs)
                     if truth is not None and k % c.cadence == 0:
-                        c.acc.sample(truth, c.state)
+                        diagnostics = diagnostics or _truth_diagnostics(truth)
+                        c.acc.sample(truth, c.state, diagnostics)
                 except Exception as e:
                     c.failure = e
             live = [c for c in live if c.failure is None]
@@ -500,10 +514,12 @@ def run_twin(
     ]
     if record_to is not None:
         copies[0].fed = []
+    diagnostics = None
     for c, cfg_c in zip(copies, configs):
         try:
             c.state = _initial_state(cfg_c, truth, v0, eta0)
-            c.acc.sample(truth, c.state)
+            diagnostics = diagnostics or _truth_diagnostics(truth)
+            c.acc.sample(truth, c.state, diagnostics)
         except Exception as e:
             c.failure = e
 

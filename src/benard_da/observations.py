@@ -17,7 +17,11 @@ per velocity component: the complex coefficients at the retained modes
 (nodal).  interpolate() turns that data back into the spectral field I_h(u).
 Cell integrals of the trigonometric basis functions have closed forms, so
 both the averaging and the re-expansion are exact linear maps; no secondary
-interpolation is involved anywhere.  Observations are of velocity only:
+interpolation is involved anywhere.  Each volume/nodal spec builds its
+product tables once and keeps them read-only: measure() applies the x and
+y factors of the closed forms in their literal order; interpolate() folds
+1/weight into the y table and fills only the dealiased band, which moves
+I_h at round-off (within 1e-13 relative of the literal formulas).  Observations are of velocity only:
 measure() rejects scalar fields so that no code path can ever consume a
 temperature observation.
 
@@ -170,20 +174,41 @@ def _cell_operators(spec: InterpolantSpec):
     ex = np.exp(1j * np.outer(xc, kx))
     eyc = np.cos(np.outer(yc, ky))
     eys = np.sin(np.outer(yc, ky))
+    for t in (ix, iyc, iys, ex, eyc, eys):
+        t.flags.writeable = False
     return ix, iyc, iys, ex, eyc, eys, xe[1] - xe[0], ye[1] - ye[0]
+
+
+@lru_cache(maxsize=32)
+def _tables(spec: InterpolantSpec) -> dict:
+    """A volume/nodal spec's read-only product tables, built once.
+
+    "measure" and (parity, "measure") are the x and y factors of the
+    measurement; "expand" and (parity, "expand") those of the expansion on
+    the dealiased band, the only block it fills: rows of ix^H, and columns
+    of iy / weight.
+    """
+    ix, iyc, iys, ex, eyc, eys, dx, dy = _cell_operators(spec)
+    g = spec.grid
+    rows, cols = int(g.dealias_mask[:, 0].sum()), int(g.dealias_mask[0].sum())
+    # each row n = 1 .. nx/2 - 1 stands for n and -n, so it counts twice
+    if spec.kind == VOLUME:
+        x, ys = ix / dx * g.multiplicity, ((iyc / dy).T, (iys / dy).T)
+    else:
+        x, ys = ex * g.multiplicity, (eyc.T, eys.T)
+    tables = {"measure": x, "expand": ix.conj().T[:rows].copy()}
+    for parity, y, iy in zip((COS, SIN), ys, (iyc, iys)):
+        tables[parity, "measure"] = y
+        tables[parity, "expand"] = (iy / g.weight)[:, :cols].copy()
+    for t in tables.values():
+        t.flags.writeable = False
+    return tables
 
 
 def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
     """Cell averages (volume) or cell-center samples (nodal), real."""
-    ix, iyc, iys, ex, eyc, eys, dx, dy = _cell_operators(spec)
-    # each row n = 1 .. nx/2 - 1 stands for n and -n, so it counts twice
-    w = spec.grid.multiplicity
-    if spec.kind == VOLUME:
-        iy = iyc if f.parity == COS else iys
-        values = (ix / dx * w) @ f.coeffs @ (iy / dy).T
-    else:
-        ey = eyc if f.parity == COS else eys
-        values = (ex * w) @ f.coeffs @ ey.T
+    tables = _tables(spec)
+    values = tables["measure"] @ f.coeffs @ tables[f.parity, "measure"]
     # the mirror rows -n add the conjugate of the rows n, so the value of
     # the real field is the real part of this half sum
     return values.real
@@ -191,16 +216,16 @@ def _coarse_values(f: SpectralField, spec: InterpolantSpec) -> np.ndarray:
 
 def _expand(data: np.ndarray, parity: str, spec: InterpolantSpec) -> SpectralField:
     """One component of I_h: the retained modes in place, or the exact
-    spectral coefficients of the piecewise-constant extension of the cells."""
+    spectral coefficients of the piecewise-constant extension of the cells,
+    zero outside the dealiased band."""
     g = spec.grid
+    coeffs = np.zeros(g.coeff_shape, dtype=complex)
     if spec.kind == MODAL:
-        coeffs = np.zeros(g.coeff_shape, dtype=complex)
         coeffs[modal_projection_mask(spec)] = data
     else:
-        ix, iyc, iys = _cell_operators(spec)[:3]
-        iy = iyc if parity == COS else iys
-        coeffs = (ix.conj().T @ data @ iy) / g.weight[None, :]
-        coeffs = np.where(g.dealias_mask, coeffs, 0.0)
+        tables = _tables(spec)
+        band = tables["expand"] @ (data @ tables[parity, "expand"])
+        coeffs[: band.shape[0], : band.shape[1]] = band
     return _adopt(g, parity, coeffs)
 
 

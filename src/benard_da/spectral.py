@@ -201,12 +201,7 @@ class SpectralField:
                 f"coefficient shape {c.shape} does not match grid"
                 f" {self.grid.coeff_shape}"
             )
-        c.imag[0] = 0.0
-        c.imag[-1] = 0.0
-        if self.parity == SIN:
-            c[:, 0] = 0.0
-            c[:, -1] = 0.0
-        c.flags.writeable = False
+        _clean(c, self.parity).flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -318,6 +313,18 @@ class _Fresh:
 
     def __init__(self, array: np.ndarray) -> None:
         self.array = array
+
+
+def _clean(c: np.ndarray, parity: str) -> np.ndarray:
+    """The constructor's clean-up, in place: zero the imaginary part of the
+    self-conjugate rows n = 0 and nx/2 and, for sine parity, the m = 0 and
+    m = ny columns."""
+    c.imag[0] = 0.0
+    c.imag[-1] = 0.0
+    if parity == SIN:
+        c[:, 0] = 0.0
+        c[:, -1] = 0.0
+    return c
 
 
 def _adopt(grid: Grid, parity: str, coeffs: np.ndarray) -> SpectralField:
@@ -444,10 +451,10 @@ def dealias(f: Field) -> Field:
     return f * f.grid.dealias_mask
 
 
-def _divergence_coeffs(u: VectorField) -> np.ndarray:
-    """du1/dx + du2/dy: cos-parity coefficients, zero per mode when solenoidal."""
-    g = u.grid
-    return 1j * g.kx[:, None] * u.u1.coeffs + g.ky[None, :] * u.u2.coeffs
+def _divergence_coeffs(g: Grid, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """du1/dx + du2/dy of the velocity coefficients (c1, c2): cos-parity
+    coefficients, zero per mode when solenoidal."""
+    return 1j * g.kx[:, None] * c1 + g.ky[None, :] * c2
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -461,11 +468,18 @@ def leray_project(u: VectorField) -> VectorField:
     otherwise generate).
     """
     g = u.grid
-    phi = -_divergence_coeffs(u) / _gauged_lam(g)
-    p1 = u.u1.coeffs - 1j * g.kx[:, None] * phi
-    p2 = u.u2.coeffs + g.ky[None, :] * phi
-    p1[0, 0] = 0.0
+    p1, p2 = _leray_coeffs(g, u.u1.coeffs, u.u2.coeffs)
     return VectorField(_adopt(g, COS, p1), _adopt(g, SIN, p2))
+
+
+def _leray_coeffs(g: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple:
+    """leray_project on velocity coefficients: fresh (p1, p2) arrays, not
+    yet cleaned as fields' are."""
+    phi = -_divergence_coeffs(g, c1, c2) / _gauged_lam(g)
+    p1 = c1 - 1j * g.kx[:, None] * phi
+    p2 = c2 + g.ky[None, :] * phi
+    p1[0, 0] = 0.0
+    return p1, p2
 
 
 @lru_cache(maxsize=8)
@@ -607,4 +621,4 @@ def solenoidality_defect(u: VectorField) -> float:
     scale = max(float(t1.max()), float(t2.max()))
     if scale == 0.0:
         return 0.0
-    return float(np.abs(_divergence_coeffs(u)).max()) / scale
+    return float(np.abs(_divergence_coeffs(g, u.u1.coeffs, u.u2.coeffs)).max()) / scale

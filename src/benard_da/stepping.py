@@ -2,7 +2,9 @@
 
 Every step is CNAB2 (Crank-Nicolson diffusion, Adams-Bashforth-2 for the
 explicit terms; Ascher-Ruuth-Wetton 1995).  Every step has the one length
-StepperConfig.dt, so the AB2 weights are the constants 3/2 and -1/2.  The
+StepperConfig.dt, so the AB2 weights are the constants 3/2 and -1/2, and
+the Crank-Nicolson factors are cached per grid, diffusivity and dt (the
+implicit nudging's divisor also per mu and mask), read-only.  The
 explicit-tendency history travels alongside the state so that a resumed
 integration reproduces an uninterrupted one bit for bit; a step given no
 history takes its own start-of-step tendencies as the previous ones.  A
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
-from .spectral import COS, SIN, VectorField, _adopt
+from .spectral import COS, SIN, Grid, VectorField, _adopt
 
 __all__ = [
     "StepperConfig",
@@ -127,6 +130,11 @@ class BlowUpError(RuntimeError):
 
 def _check_finite(c: np.ndarray, last_time: float, time: float, label: Optional[str]):
     """Raise BlowUpError at the largest coefficient of a step's stacked update."""
+    # |re|, |im| <= T / 1.5 bounds |c| by T (sqrt 2 < 1.5) without the complex
+    # abs; a nan fails the comparison and takes the exact path
+    parts, bound = c.view(float), BLOWUP_THRESHOLD / 1.5
+    if parts.max() <= bound and parts.min() >= -bound:
+        return
     mag = np.abs(c)
     i = int(np.argmax(mag))
     peak = float(mag.flat[i])
@@ -157,12 +165,33 @@ def _check_explicit_nudging(dt: float, mu: float) -> None:
         raise ValueError(f"explicit nudging requires dt <= 1/(2 mu): dt={dt}, mu={mu}")
 
 
+@lru_cache(maxsize=32)
 def _diffusion_factors(
-    diffusivity: float, dt: float, lam: np.ndarray
+    g: Grid, diffusivity: float, dt: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Crank-Nicolson (num, den): c_new = (num c + dt x) / den."""
-    half = 0.5 * dt * lam
-    return 1.0 - diffusivity * half, 1.0 + diffusivity * half
+    """Crank-Nicolson (num, den): c_new = (num c + dt x) / den.
+
+    Read-only and complex, so that the update uses them without a cast; an
+    exact cast, so that they give the bits of the real factors.
+    """
+    half = 0.5 * dt * g.lam
+    return _frozen(1.0 - diffusivity * half), _frozen(1.0 + diffusivity * half)
+
+
+@lru_cache(maxsize=32)
+def _nudged_denominator(
+    g: Grid, nu: float, dt: float, mu: float, mask: tuple
+) -> np.ndarray:
+    """The implicit nudging's velocity divisor den + dt mu mask, for a mask
+    given as (dtype, shape, bytes); made once per configuration."""
+    marks = np.frombuffer(mask[2], dtype=mask[0]).reshape(mask[1])
+    return _frozen(_diffusion_factors(g, nu, dt)[1] + dt * mu * marks)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.astype(complex)
+    a.flags.writeable = False
+    return a
 
 
 def tendency_history(
@@ -215,13 +244,14 @@ def step(
     np.multiply(e if history is None else history.tendencies, -0.5, out=c)
     x += c
     x *= dt
-    num_u, den_u = _diffusion_factors(p.nu, dt, g.lam)
-    num_t, den_t = _diffusion_factors(p.kappa, dt, g.lam)
+    num_u, den_u = _diffusion_factors(g, p.nu, dt)
+    num_t, den_t = _diffusion_factors(g, p.kappa, dt)
 
     u, temperatures = s.velocity, (s.temperature, *s.passengers)
-    np.stack([u.u1.coeffs, u.u2.coeffs, *(f.coeffs for f in temperatures)], out=c)
-    c[:2] *= num_u
-    c[2:] *= num_t
+    np.multiply(u.u1.coeffs, num_u, out=c[0])
+    np.multiply(u.u2.coeffs, num_u, out=c[1])
+    for row, f in zip(c[2:], temperatures):
+        np.multiply(f.coeffs, num_t, out=row)
     c += x
 
     if nudging is not None and nudging.mu > 0:
@@ -230,7 +260,10 @@ def step(
             c[0] += dt * nudging.force.u1.coeffs
             c[1] += dt * nudging.force.u2.coeffs
         else:
-            den_u = den_u + dt * nudging.mu * nudging.observed_mask
+            mask = np.asarray(nudging.observed_mask)
+            den_u = _nudged_denominator(
+                g, p.nu, dt, nudging.mu, (mask.dtype.str, mask.shape, mask.tobytes())
+            )
             c[0] += dt * nudging.mu * nudging.data1
             c[1] += dt * nudging.mu * nudging.data2
 

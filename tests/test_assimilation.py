@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from benard_da import assimilation, stepping
+from benard_da import assimilation, observations, stepping
 from benard_da.assimilation import (
     CUSTOM,
     PERTURBED_TRUTH,
@@ -29,6 +29,7 @@ from benard_da.assimilation import (
 )
 from benard_da.model import PhysicalParams, State
 from benard_da.observations import (
+    KINDS,
     MODAL,
     NODAL,
     VOLUME,
@@ -42,6 +43,7 @@ from benard_da.spectral import (
     Grid,
     SpectralField,
     VectorField,
+    leray_project,
     norm_h,
     random_scalar,
     random_solenoidal,
@@ -205,6 +207,49 @@ class TestNudgingForce:
         with pytest.raises(ValueError, match="grid"):
             nudging_force(v, VectorField.zeros(GRID), spec, mu=1.0)
 
+    @pytest.mark.parametrize("kind", [MODAL, VOLUME])
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, -1.0])
+    def test_mu_must_be_non_negative_and_finite(self, kind, mu):
+        # a nan or infinite mu used to give an all-nan force
+        grid = Grid(2.0, 16, 8)
+        spec = InterpolantSpec(kind, 0.25, grid)
+        v = random_solenoidal(grid, np.random.default_rng(2))
+        with pytest.raises(ValueError) as ei:
+            nudging_force(v, VectorField.zeros(grid), spec, mu)
+        assert str(ei.value) == f"mu must be non-negative and finite, got {mu}"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(16, 8), (64, 32)], ids=["16x8", "64x32"])
+    def test_force_has_the_bits_of_the_field_arithmetic(self, kind, shape):
+        grid = Grid(2.0, *shape)
+        rng = np.random.default_rng(17)
+        spec = InterpolantSpec(kind, 0.25, grid)
+        u_obs = observe(random_solenoidal(grid, rng), spec)
+        # a velocity with a gradient part, so that the projection acts
+        v = VectorField(random_scalar(grid, rng, COS), random_scalar(grid, rng, SIN))
+        got = nudging_force(v, u_obs, spec, 35.0)
+        want = -35.0 * leray_project(observe(v, spec) - u_obs)
+        assert got.u1.coeffs.tobytes() == want.u1.coeffs.tobytes()
+        assert got.u2.coeffs.tobytes() == want.u2.coeffs.tobytes()
+
+    @pytest.mark.parametrize("kind, h", [(MODAL, 0.01), (VOLUME, 0.125), (NODAL, 0.125)])
+    def test_force_bits_where_the_projection_leaves_a_signed_zero(self, kind, h):
+        # with the full band kept, a u2 mode on the row n = nx/2 projects
+        # onto u1 entries of zero real and non-zero imaginary part; the
+        # field expression zeroes that imaginary part before the scaling,
+        # and the sign of the scaled real zero depends on it
+        grid = Grid(2.0, 16, 8, dealias_fraction=1.0)
+        spec = InterpolantSpec(kind, h, grid)
+        zero = VectorField.zeros(grid)
+        for amplitude in (0.3, -0.3):
+            c2 = np.zeros(grid.coeff_shape, dtype=complex)
+            c2[-1, 1:-1] = amplitude
+            v = VectorField(SpectralField.zeros(grid, COS), SpectralField(grid, SIN, c2))
+            got = nudging_force(v, zero, spec, 35.0)
+            want = -35.0 * leray_project(observe(v, spec) - zero)
+            assert got.u1.coeffs.tobytes() == want.u1.coeffs.tobytes()
+            assert got.u2.coeffs.tobytes() == want.u2.coeffs.tobytes()
+
 
 @pytest.fixture(scope="module")
 def attractor_state():
@@ -326,6 +371,29 @@ class TestSharedTruth:
             assert isinstance(got, TwinResult)
             assert_same_run(got, run_twin(cfg))
         assert shared[0] is not shared[3]
+
+    def test_mixed_kinds_match_runs_on_cleared_caches(self, attractor_state):
+        # every cached factor and table is per configuration: a copy shares
+        # them with the others and still gets the bits of a lone run that
+        # builds its own
+        configs = [
+            row_config(MODAL, 10.0, 0.2),
+            row_config(MODAL, 40.0, 0.25),
+            row_config(VOLUME, 40.0, 0.2),
+            row_config(NODAL, 20.0, 0.25),
+            row_config(NODAL, 40.0, 0.2),
+        ]
+        shared = run_twin(configs, truth0=attractor_state)
+        for cfg, got in zip(configs, shared):
+            for cached in (
+                stepping._diffusion_factors,
+                stepping._nudged_denominator,
+                observations._tables,
+                observations._cell_operators,
+                observations.modal_projection_mask,
+            ):
+                cached.cache_clear()
+            assert_same_run(got, run_twin(cfg, truth0=attractor_state))
 
     def test_failures_stop_only_their_copy(self, attractor_state):
         # dt = 2e-3 exceeds 1/(2 mu) at mu = 1e6, and a 1e11 perturbation

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from benard_da import observations
 from benard_da.observations import (
     MODAL,
     NODAL,
@@ -17,11 +18,14 @@ from benard_da.observations import (
     approximation_samples,
     cell_partition,
     estimate_approximation_constant,
+    interpolate,
     measure,
     modal_projection_mask,
     observe,
 )
 from benard_da.spectral import (
+    COS,
+    SIN,
     Grid,
     SpectralField,
     VectorField,
@@ -108,6 +112,48 @@ class TestMeasureInterpolate:
         assert modal_projection_mask(InterpolantSpec(MODAL, 0.25, grid)) is mask
         with pytest.raises(ValueError):
             mask[0, 0] = False
+
+
+class TestCachedTables:
+    """measure and interpolate run on per-spec tables; they must give what
+    the closed-form cell operators give when applied literally."""
+
+    @pytest.mark.parametrize("kind", [VOLUME, NODAL])
+    @pytest.mark.parametrize("shape", [(16, 8), (64, 32)], ids=["16x8", "64x32"])
+    def test_products_match_the_literal_formulas(self, kind, shape):
+        g = Grid(L, *shape)
+        spec = InterpolantSpec(kind, 0.25, g)
+        ix, iyc, iys, ex, eyc, eys, dx, dy = observations._cell_operators(spec)
+        rng = np.random.default_rng(4)
+        u = VectorField(random_scalar(g, rng, COS), random_scalar(g, rng, SIN))
+        w = g.multiplicity
+        data = measure(u, spec)
+        got = interpolate(data, spec)
+        for f, d, iy, ey, field in (
+            (u.u1, data[0], iyc, eyc, got.u1),
+            (u.u2, data[1], iys, eys, got.u2),
+        ):
+            if kind == VOLUME:
+                want = (ix / dx * w) @ f.coeffs @ (iy / dy).T
+            else:
+                want = (ex * w) @ f.coeffs @ ey.T
+            # the measurement keeps the literal order: bit for bit
+            assert d.tobytes() == want.real.tobytes()
+            # the expansion folds 1/weight into its y table and runs on the
+            # dealiased band, so it differs at round-off
+            want = np.where(g.dealias_mask, (ix.conj().T @ d @ iy) / g.weight[None, :], 0.0)
+            want = SpectralField(g, f.parity, want).coeffs
+            assert np.abs(field.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", [VOLUME, NODAL])
+    def test_tables_are_read_only(self, grid, kind):
+        spec = InterpolantSpec(kind, 0.25, grid)
+        arrays = list(observations._tables(spec).values())
+        arrays += [a for a in observations._cell_operators(spec) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 12
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[0, 0]
 
 
 class TestLinearity:

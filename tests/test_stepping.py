@@ -12,7 +12,9 @@ import pytest
 
 import benard_da
 
+from benard_da import stepping
 from benard_da.model import PhysicalParams, State
+from benard_da.observations import InterpolantSpec, modal_projection_mask, observe
 from benard_da.spectral import (
     Grid,
     SpectralField,
@@ -282,6 +284,122 @@ class TestBlowUp:
         assert e.last_finite_time == e.time - 1.0
         for part in (e.field, f"(n, m) = ({n}, {m})", f"t = {e.last_finite_time:.6g}"):
             assert part in str(e)
+
+
+class TestFiniteCheck:
+    """The cheap bound max(|re|, |im|) <= 1e12 / 1.5 only skips the exact
+    check; every update it does not pass gets the complex magnitudes, so a
+    blow-up is reported at the same field, mode and magnitude."""
+
+    @pytest.mark.parametrize(
+        "entries, report",
+        [
+            # on the diagonal: the bound fails, |c| = 0.99e12 does not raise
+            ({(1, 2, 3): 0.7e12 * (1 + 1j)}, None),
+            ({(1, 2, 3): 0.71e12 * (1 + 1j)}, ("u2", (2, 3), 1004091629284.8976)),
+            (
+                {(1, 2, 3): 0.7e12 * (1 + 1j), (0, 4, 8): -1.0000001e12},
+                ("u1", (4, 8), 1000000100000.0),
+            ),
+            ({(0, 2, 2): 1e12}, None),
+            ({(2, 1, 4): complex(np.nan, 0.0)}, ("theta", (1, 4), np.nan)),
+            ({(0, 3, 0): complex(np.inf, 0.0)}, ("u1", (3, 0), np.inf)),
+            ({(3, 0, 1): complex(0.0, -np.inf)}, ("passenger 0", (0, 1), np.inf)),
+            # the first nan wins over an earlier inf, as np.argmax has it
+            (
+                {(0, 0, 1): complex(np.inf, 0.0), (1, 0, 0): complex(np.nan, 1.0)},
+                ("u2", (0, 0), np.nan),
+            ),
+        ],
+        ids=[
+            "below-diagonal", "above-diagonal", "above-real", "at-threshold",
+            "nan", "inf", "minus-inf-imag", "nan-after-inf",
+        ],
+    )
+    def test_report_at_the_boundaries(self, entries, report):
+        c = np.zeros((4, 5, 9), dtype=complex)
+        for where, value in entries.items():
+            c[where] = value
+        if report is None:
+            stepping._check_finite(c, 1.5, 2.0, "truth")
+            return
+        with pytest.raises(BlowUpError) as ei:
+            stepping._check_finite(c, 1.5, 2.0, "truth")
+        e = ei.value
+        assert (e.field, e.mode) == report[:2]
+        assert np.array_equal(e.magnitude, report[2], equal_nan=True)
+        assert (e.time, e.last_finite_time, e.label) == (2.0, 1.5, "truth")
+
+
+def _clear_step_caches():
+    stepping._diffusion_factors.cache_clear()
+    stepping._nudged_denominator.cache_clear()
+
+
+class TestCaches:
+    """Per-step constants are cached per configuration and read-only."""
+
+    def test_interleaved_configurations_match_lone_runs(self, grid):
+        rng = np.random.default_rng(21)
+        s0 = State(
+            random_solenoidal(grid, rng, norm=0.5), random_scalar(grid, rng, "sin", norm=0.5)
+        )
+        target = random_solenoidal(grid, rng, norm=0.5)
+        slow, fast = PhysicalParams(0.03, 0.03), PhysicalParams(0.05, 0.02)
+        runs = [
+            (slow, StepperConfig(5e-3), None),
+            (fast, StepperConfig(2.5e-3), None),
+            (slow, StepperConfig(5e-3), (10.0, 0.2)),
+            (slow, StepperConfig(5e-3), (50.0, 0.4)),
+            (fast, StepperConfig(2.5e-3), (50.0, 0.2)),
+        ]
+
+        def nudging(modal):
+            if modal is None:
+                return None
+            mu, h = modal
+            spec = InterpolantSpec("modal", h, grid)
+            obs = observe(target, spec)
+            return NudgingStep(
+                mu=mu,
+                observed_mask=modal_projection_mask(spec),
+                data1=obs.u1.coeffs,
+                data2=obs.u2.coeffs,
+            )
+
+        def advance(run, s, h):
+            p, cfg, modal = run
+            return step(s, p, cfg, nudging=nudging(modal), history=h)
+
+        def coefficients(s):
+            return [f.coeffs.tobytes() for f in (s.velocity.u1, s.velocity.u2, s.temperature)]
+
+        alone = []
+        for run in runs:
+            _clear_step_caches()
+            s, h, seen = s0, None, []
+            for _ in range(4):
+                s, h = advance(run, s, h)
+                seen.append(coefficients(s))
+            alone.append(seen)
+        _clear_step_caches()
+        pairs = [(s0, None)] * len(runs)
+        together = [[] for _ in runs]
+        for _ in range(4):
+            for i, run in enumerate(runs):
+                pairs[i] = advance(run, *pairs[i])
+                together[i].append(coefficients(pairs[i][0]))
+        assert together == alone
+
+    def test_cached_factors_are_read_only(self, grid):
+        num, den = stepping._diffusion_factors(grid, 0.03, 5e-3)
+        mask = modal_projection_mask(InterpolantSpec("modal", 0.2, grid))
+        nudged = stepping._nudged_denominator(
+            grid, 0.03, 5e-3, 10.0, (mask.dtype.str, mask.shape, mask.tobytes())
+        )
+        for a in (num, den, nudged):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
 
 
 class TestNudgingHooks:
