@@ -10,14 +10,23 @@ and P the Leray projection:
 
 Quadratic products are formed pointwise on the collocation grid and
 truncated to the dealiased band, which keeps the advection orthogonality
-identities exact to round-off and the wall conditions structural.
+identities exact to round-off and the wall conditions structural.  Both
+advection terms are taken in divergence form, (c.grad) f = d/dx(c1 f) +
+d/dy(c2 f): the fluxes c1 f and c2 f are analyzed and differentiated on
+their coefficients, so no derivative field is synthesized.  Under the 2/3
+rule the retained band of a product of two dealiased fields is alias-free,
+so for a solenoidal, dealiased carrier this equals the convective form to
+round-off (Zang 1991).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .spectral import (
     COS,
@@ -25,10 +34,9 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
+    _adopt,
+    _buffer,
     analyze,
-    dealias,
-    derivative_x,
-    derivative_y,
     leray_project,
     synthesize,
 )
@@ -104,24 +112,69 @@ def _require_same_grid(a: Grid, b: Grid) -> None:
         raise ValueError("fields live on different grids")
 
 
+@lru_cache(maxsize=8)
+def _divergence_factors(g: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only complex d/dx and d/dy multipliers (i kx, ky) per
+    coefficient, zero outside the dealiased band."""
+    dx = (1j * g.kx[:, None]) * g.dealias_mask
+    dy = (g.ky[None, :] * g.dealias_mask).astype(complex)
+    dx.flags.writeable = dy.flags.writeable = False
+    return dx, dy
+
+
+def _fluxes(
+    carrier: VectorField, fields: Sequence[SpectralField], pairs: Sequence[tuple]
+) -> np.ndarray:
+    """Pointwise products v[i] v[j] of the values v of [c1, c2, *fields],
+    one per pair, from one synthesis.  They fill this thread's flux buffer
+    (see spectral._buffer), live until analyzed; the synthesized values are
+    released on return, before the analyses allocate."""
+    g = carrier.grid
+    v = synthesize([carrier.u1, carrier.u2, *fields])
+    flux = _buffer((len(pairs),) + g.shape, float, "flux")
+    for out, (i, j) in zip(flux, pairs):
+        np.multiply(v[i], v[j], out=out)
+    return flux
+
+
+def _divergence(fx: SpectralField, fy: SpectralField) -> SpectralField:
+    """Dealiased d/dx fx + d/dy fy, of fx's parity; d/dy maps sin to cos
+    with +ky and cos to sin with -ky, as spectral.derivative_y does."""
+    g = fx.grid
+    dx, dy = _divergence_factors(g)
+    div, ddy = dx * fx.coeffs, dy * fy.coeffs
+    if fy.parity == SIN:
+        div += ddy
+    else:
+        div -= ddy
+    return _adopt(g, fx.parity, div)
+
+
 def advection_velocity(carrier: VectorField, advected: VectorField) -> VectorField:
-    """Dealiased Galerkin truncation of (carrier . grad) advected."""
+    """Dealiased Galerkin truncation of (carrier . grad) advected.
+
+    Divergence form, component i d/dx(c1 a_i) + d/dy(c2 a_i): one synthesis
+    of the four components, then the fluxes analyzed as a cos pair
+    {c1 a1, c2 a2} and a sin pair {c2 a1, c1 a2}.  The carrier must be
+    solenoidal and dealiased, as states and their differences are, or the
+    result differs from the convective form by a_i div(c).  When advected
+    is carrier, u1 and u2 are synthesized once and u1^2, u2^2 and u1 u2
+    analyzed once, with the bits of the general path.
+    """
     _require_same_grid(carrier.grid, advected.grid)
     g = carrier.grid
-    c1, dx1, dy2, c2, dy1, dx2 = synthesize(
-        [
-            carrier.u1,
-            derivative_x(advected.u1),
-            derivative_y(advected.u2),
-            carrier.u2,
-            derivative_y(advected.u1),
-            derivative_x(advected.u2),
-        ]
-    )
-    return VectorField(
-        dealias(analyze(g, c1 * dx1 + c2 * dy1, COS)),
-        dealias(analyze(g, c1 * dx2 + c2 * dy2, SIN)),
-    )
+    if advected is carrier:
+        flux = _fluxes(carrier, [], [(0, 0), (1, 1), (1, 0)])
+        f11, f22 = analyze(g, flux[:2], COS)
+        (f21,) = analyze(g, flux[2:], SIN)
+        f12 = f21
+    else:
+        flux = _fluxes(
+            carrier, [advected.u1, advected.u2], [(0, 2), (1, 3), (1, 2), (0, 3)]
+        )
+        f11, f22 = analyze(g, flux[:2], COS)
+        f21, f12 = analyze(g, flux[2:], SIN)
+    return VectorField(_divergence(f11, f21), _divergence(f12, f22))
 
 
 def advection_scalar(
@@ -129,20 +182,22 @@ def advection_scalar(
 ) -> Union[SpectralField, List[SpectralField]]:
     """Dealiased Galerkin truncation of (carrier . grad) scalar, sine parity.
 
-    A sequence of scalars gives a list, from one synthesis and one analysis,
-    bit for bit the fields of one call per scalar."""
+    Divergence form, d/dx(c1 f) + d/dy(c2 f), with advection_velocity's
+    contract on the carrier.  Scalars must carry sine parity, as
+    temperatures do, or ValueError is raised.  A sequence of scalars gives
+    a list, from one synthesis and one analysis per flux parity, bit for
+    bit the fields of one call per scalar."""
     single = isinstance(scalars, SpectralField)
     group = [scalars] if single else list(scalars)
     for f in group:
         _require_same_grid(carrier.grid, f.grid)
-    k = len(group)
-    v = synthesize(
-        [carrier.u1, *map(derivative_y, group), carrier.u2, *map(derivative_x, group)]
-    )
-    adv = v[0] * v[k + 2 :] + v[k + 1] * v[1 : k + 1]
-    if single:
-        return dealias(analyze(carrier.grid, adv[0], SIN))
-    return [dealias(f) for f in analyze(carrier.grid, adv, SIN)]
+        if f.parity != SIN:
+            raise ValueError("advected scalars must carry sine parity")
+    g, k = carrier.grid, len(group)
+    pairs = [(0, 2 + i) for i in range(k)] + [(1, 2 + i) for i in range(k)]
+    flux = _fluxes(carrier, group, pairs)
+    adv = list(map(_divergence, analyze(g, flux[:k], SIN), analyze(g, flux[k:], COS)))
+    return adv[0] if single else adv
 
 
 def explicit_rhs(
@@ -152,6 +207,9 @@ def explicit_rhs(
 
     Velocity part: P[-(u.grad)u + theta e2 (+ forcing)]; one projection call
     covers the whole bundle.  Scalar part: -(u.grad)theta + u2 (+ forcing).
+    The two advection calls make six transform calls over ten fields: they
+    synthesize u1, u2 and u1, u2, theta, and analyze u1^2, u2^2, u1 u2 and
+    u1 theta, u2 theta.
     """
     u, th = s.velocity, s.temperature
     adv = advection_velocity(u, u)

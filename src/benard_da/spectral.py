@@ -345,14 +345,17 @@ def _is_field(x) -> bool:
 _work = threading.local()
 
 
-def _buffer(shape: tuple, dtype: type) -> np.ndarray:
-    """This thread's reused buffer of one shape and dtype, live within one
-    transform call only.  Reusing it keeps the step from returning the
-    memory to the system and faulting it back in on every call."""
+def _buffer(shape: tuple, dtype: type, use: str = "transform") -> np.ndarray:
+    """This thread's reused buffer of one shape, dtype and use, live within
+    one call only; the transforms' own use is "transform", so a caller
+    that fills a buffer of another use can pass it to them.  Reusing it
+    keeps the step from returning the memory to the system and faulting it
+    back in on every call."""
     buffers = _work.__dict__.setdefault("buffers", {})
-    if (shape, dtype) not in buffers:
-        buffers[shape, dtype] = np.empty(shape, dtype=dtype)
-    return buffers[shape, dtype]
+    key = (shape, dtype, use)
+    if key not in buffers:
+        buffers[key] = np.empty(shape, dtype=dtype)
+    return buffers[key]
 
 
 @lru_cache(maxsize=8)
@@ -474,21 +477,36 @@ def leray_project(u: VectorField) -> VectorField:
 
 def _leray_coeffs(g: Grid, c1: np.ndarray, c2: np.ndarray) -> tuple:
     """leray_project on velocity coefficients: fresh (p1, p2) arrays, not
-    yet cleaned as fields' are."""
-    phi = -_divergence_coeffs(g, c1, c2) / _gauged_lam(g)
-    p1 = c1 - 1j * g.kx[:, None] * phi
-    p2 = c2 + g.ky[None, :] * phi
-    p1[0, 0] = 0.0
+    yet cleaned as fields' are.
+
+    Per mode the projection is the symmetric 2x2 map
+    p1 = a c1 + i b c2, p2 = c c2 - i b c1 (see _leray_factors).
+    """
+    a, ib, c = _leray_factors(g)
+    p1 = a * c1
+    p1 += ib * c2
+    p2 = c * c2
+    p2 -= ib * c1
     return p1, p2
 
 
 @lru_cache(maxsize=8)
-def _gauged_lam(g: Grid) -> np.ndarray:
-    """Read-only Poisson divisor: lam with the (0, 0) gauge entry set to 1."""
-    q = np.array(g.lam, copy=True)
-    q[0, 0] = 1.0
-    q.flags.writeable = False
-    return q
+def _leray_factors(g: Grid) -> tuple:
+    """Read-only complex (a, i b, c) of the per-mode projection: with
+    lam = kx^2 + ky^2, a = 1 - kx^2/lam = ky^2/lam, b = kx ky/lam and
+    c = 1 - ky^2/lam = kx^2/lam, taken as the quotients without the
+    cancelling subtraction; the gauge entry (0, 0) takes (0, 0, 1), which
+    annihilates the mean of u1.  Held complex (an exact cast), so that a
+    call casts nothing."""
+    kx, ky = g.kx[:, None], g.ky[None, :]
+    lam = np.array(g.lam, copy=True)
+    lam[0, 0] = 1.0  # the quotients at (0, 0) are 0 / 1
+    a, b, c = ky * ky / lam, kx * ky / lam, kx * kx / lam
+    c[0, 0] = 1.0
+    factors = (a.astype(complex), 1j * b, c.astype(complex))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 # ---------------------------------------------------------------------------

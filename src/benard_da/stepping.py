@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
-from .spectral import COS, SIN, Grid, VectorField, _adopt
+from .spectral import COS, SIN, Grid, VectorField, _adopt, _buffer
 
 __all__ = [
     "StepperConfig",
@@ -240,7 +240,7 @@ def step(
     # factors belong to the velocity pair (nu) and to the temperatures (kappa)
     e = new_history.tendencies
     c = np.empty_like(e)
-    x = e * 1.5
+    x = np.multiply(e, 1.5, out=_buffer(e.shape, complex, "step"))
     np.multiply(e if history is None else history.tendencies, -0.5, out=c)
     x += c
     x *= dt

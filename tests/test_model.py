@@ -3,13 +3,16 @@
 The advection oracle is symbolic: sympy differentiates explicit
 trigonometric mode products and the result is compared pointwise on the
 collocation grid, which is exact because the product of low modes stays
-inside the dealiasing band.
+inside the dealiasing band.  A second oracle is the convective form
+(c.grad) f, products of synthesized derivative fields, which the package
+computed before it took the divergence form.
 """
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from benard_da import model
 from benard_da.model import (
     PhysicalParams,
     State,
@@ -23,6 +26,9 @@ from benard_da.spectral import (
     SpectralField,
     VectorField,
     analyze,
+    dealias,
+    derivative_x,
+    derivative_y,
     inner_h,
     leray_project,
     norm_h,
@@ -58,6 +64,36 @@ def _vector_from_stream(grid, psi_expr, x, y):
         analyze(grid, np.broadcast_to(f1(X, Y), X.shape).copy(), "cos"),
         analyze(grid, np.broadcast_to(f2(X, Y), X.shape).copy(), "sin"),
     )
+
+
+def _convective_velocity(c, a):
+    """(c.grad) a from synthesized derivative fields: the convective form."""
+    g = c.grid
+    c1, dx1, dy2, c2, dy1, dx2 = synthesize(
+        [
+            c.u1,
+            derivative_x(a.u1),
+            derivative_y(a.u2),
+            c.u2,
+            derivative_y(a.u1),
+            derivative_x(a.u2),
+        ]
+    )
+    return VectorField(
+        dealias(analyze(g, c1 * dx1 + c2 * dy1, "cos")),
+        dealias(analyze(g, c1 * dx2 + c2 * dy2, "sin")),
+    )
+
+
+def _convective_scalar(c, f):
+    c1, dyf, c2, dxf = synthesize([c.u1, derivative_y(f), c.u2, derivative_x(f)])
+    return dealias(analyze(c.grid, c1 * dxf + c2 * dyf, "sin"))
+
+
+def _coeffs(f):
+    if isinstance(f, VectorField):
+        return np.concatenate([f.u1.coeffs, f.u2.coeffs])
+    return f.coeffs
 
 
 class TestValidation:
@@ -101,6 +137,17 @@ class TestValidation:
         th = random_scalar(other, rng, "sin")
         with pytest.raises(ValueError):
             advection_scalar(u, th)
+
+    def test_advection_refuses_cosine_scalars(self, grid):
+        # the divergence form's flux parities hold for sine scalars only
+        rng = np.random.default_rng(0)
+        u = random_solenoidal(grid, rng)
+        th = random_scalar(grid, rng, "sin")
+        c = random_scalar(grid, rng, "cos")
+        with pytest.raises(ValueError, match="sine parity"):
+            advection_scalar(u, c)
+        with pytest.raises(ValueError, match="sine parity"):
+            advection_scalar(u, [th, c])
 
 
 class TestFixedPoint:
@@ -186,6 +233,70 @@ class TestAdvectionOracle:
         z = VectorField.zeros(grid)
         assert norm_h(advection_scalar(z, th)) == 0.0
         assert norm_h(advection_velocity(z, v)) == 0.0
+
+
+class TestDivergenceForm:
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (64, 32), (128, 64)])
+    def test_matches_convective_form(self, nx, ny):
+        # for a solenoidal dealiased carrier the 2/3 rule makes the retained
+        # band alias-free, so both forms agree to round-off
+        g = Grid(L, nx, ny)
+        rng = np.random.default_rng(nx)
+        u = random_solenoidal(g, rng, norm=1.3)
+        v = random_solenoidal(g, rng, norm=0.7)
+        th1, th2 = (random_scalar(g, rng, "sin", norm=0.9) for _ in range(2))
+        a1, a2 = advection_scalar(u, [th1, th2])
+        pairs = [
+            (advection_velocity(u, v), _convective_velocity(u, v)),
+            (advection_velocity(u, u), _convective_velocity(u, u)),
+            (a1, _convective_scalar(u, th1)),
+            (a2, _convective_scalar(u, th2)),
+        ]
+        for got, want in pairs:
+            scale = np.abs(_coeffs(want)).max()
+            assert np.abs(_coeffs(got) - _coeffs(want)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (128, 64)])
+    def test_self_advection_has_the_bits_of_the_general_path(self, nx, ny):
+        g = Grid(L, nx, ny)
+        u = random_solenoidal(g, np.random.default_rng(3))
+        same = advection_velocity(u, u)
+        copy = advection_velocity(u, VectorField(u.u1 * 1.0, u.u2 * 1.0))
+        assert same.u1.coeffs.tobytes() == copy.u1.coeffs.tobytes()
+        assert same.u2.coeffs.tobytes() == copy.u2.coeffs.tobytes()
+
+    def test_transform_budget_of_a_step(self, grid, params, monkeypatch):
+        # a passenger-free step synthesizes u1, u2 (velocity term) and
+        # u1, u2, theta (scalar term), and analyzes u1^2, u2^2, u1 u2 and
+        # u1 theta, u2 theta; explicit_rhs keeps both public terms on its path
+        from benard_da.stepping import StepperConfig, step
+
+        counts = dict.fromkeys(
+            ("synthesize", "analyze", "advection_velocity", "advection_scalar"), 0
+        )
+        # fields per transform call, 1 per advection call
+        sizes = {"synthesize": len, "analyze": lambda grid, values, parity: len(values)}
+
+        def counted(name):
+            fn, size = getattr(model, name), sizes.get(name, lambda *args: 1)
+
+            def wrapper(*args):
+                counts[name] += size(*args)
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(model, name, counted(name))
+        rng = np.random.default_rng(8)
+        s = State(random_solenoidal(grid, rng), random_scalar(grid, rng, "sin"))
+        step(s, params, StepperConfig(dt=1e-3))
+        assert counts == {
+            "synthesize": 5,
+            "analyze": 5,
+            "advection_velocity": 1,
+            "advection_scalar": 1,
+        }
 
 
 class TestScalarBatch:

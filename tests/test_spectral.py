@@ -396,9 +396,10 @@ class TestLerayProjection:
         assert np.abs(pu.u1.coeffs - u.u1.coeffs).max() < 1e-12
         assert np.abs(pu.u2.coeffs - u.u2.coeffs).max() < 1e-12
 
-    def test_matches_per_mode_projection_oracle(self):
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (128, 64)])
+    def test_matches_per_mode_projection_oracle(self, nx, ny):
         """Independent 2x2 oracle: P = I - G pinv(G) along the gradient column."""
-        g = sp.Grid(L=2.0, nx=16, ny=8)
+        g = sp.Grid(L=2.0, nx=nx, ny=ny)
         rng = np.random.default_rng(9)
         u1 = sp.random_scalar(g, rng, sp.COS)
         u2 = sp.random_scalar(g, rng, sp.SIN)
@@ -420,6 +421,24 @@ class TestLerayProjection:
         expected2[:, -1] = 0.0
         expected2[:, 0] = 0.0
         assert np.abs(proj.u2.coeffs - expected2).max() < 1e-12
+
+    def test_factors_read_only_and_cached_per_grid(self):
+        g = sp.Grid(L=2.0, nx=16, ny=8)
+        factors = sp._leray_factors(g)
+        assert factors is sp._leray_factors(sp.Grid(L=2.0, nx=16, ny=8))
+        assert factors is not sp._leray_factors(sp.Grid(L=2.0, nx=32, ny=16))
+        for f in factors:
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[1, 1] = 0.0
+
+    @pytest.mark.parametrize("nx, ny", [(32, 16), (128, 64)])
+    def test_projection_of_random_field_is_solenoidal(self, nx, ny):
+        g = sp.Grid(L=2.0, nx=nx, ny=ny)
+        rng = np.random.default_rng(17)
+        f = sp.VectorField(sp.random_scalar(g, rng, sp.COS), sp.random_scalar(g, rng, sp.SIN))
+        assert sp.solenoidality_defect(f) > 1e-2
+        assert sp.solenoidality_defect(sp.leray_project(f)) < 1e-14
 
     def test_idempotent_and_self_adjoint(self):
         g = sp.Grid(L=1.0, nx=32, ny=16)
