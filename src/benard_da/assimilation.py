@@ -341,9 +341,6 @@ class ObservationRecord:
                 payload2=z["payload2"].copy(),
             )
 
-    def matches(self, spec: InterpolantSpec, stepper: StepperConfig) -> bool:
-        return self.spec == spec and self.dt == stepper.dt
-
 
 class _StepObservations(dict):
     """One step's observations: spec -> (time, data, I_h(data)).
@@ -561,7 +558,7 @@ def run_from_record(
     observed-space residual |I_h(v) - I_h(u)|_H at each step (the only
     error measurable without the truth trajectory).
     """
-    if not record.matches(spec, stepper):
+    if record.spec != spec or record.dt != stepper.dt:
         raise ValueError("record does not match the observation spec and stepper")
     g = spec.grid
     n, row = len(record.times), measure(VectorField.zeros(g), spec)[0].shape

@@ -23,7 +23,7 @@ exponentially with per-time rate at least gamma/tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,13 +101,7 @@ class BoundsReport:
     mu_min_type2: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            k: getattr(self, k)
-            for k in (
-                "nu kappa L lambda1 c a1 a2 a3 b1 b2 b3 J0 J1 "
-                "c1 c0 K3 beta0 beta1 mu_min_type1 mu_min_type2".split()
-            )
-        }
+        return asdict(self)
 
 
 def uniform_bounds(

@@ -82,9 +82,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    """The checkpoint at path; any refusal is a ValueError naming the file."""
+    try:
+        return _decode(Path(path).read_bytes())
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
+
+
+def _decode(blob: bytes) -> Checkpoint:
     if len(blob) < _HEADER.size:
-        raise ValueError("checkpoint is truncated")
+        raise ValueError(f"truncated: {len(blob)} bytes, shorter than the header")
     (
         magic,
         version,
@@ -102,14 +109,14 @@ def load_checkpoint(path) -> Checkpoint:
     if magic != MAGIC:
         raise ValueError(f"not a checkpoint file (magic {magic!r})")
     if version != VERSION:
-        raise ValueError(f"checkpoint format version {version}, expected {VERSION}")
+        raise ValueError(f"format version {version}, expected {VERSION}")
     grid = Grid(L, nx, ny, dealias_fraction)
     shape = grid.coeff_shape
     count = shape[0] * shape[1]
     nbytes = 16 * count
     expected = _HEADER.size + 3 * nbytes + (3 * nbytes + 8 if flag else 0)
     if len(blob) != expected:
-        raise ValueError(f"checkpoint holds {len(blob)} bytes, expected {expected}")
+        raise ValueError(f"holds {len(blob)} bytes, expected {expected}")
 
     def stack(i: int) -> np.ndarray:
         """Arrays i, i + 1 and i + 2 as one (3, nx/2 + 1, ny + 1) stack."""

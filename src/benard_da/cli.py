@@ -12,8 +12,8 @@ command at its (mu, h), serial or parallel.  A row's wall_time_s is its
 chunk's wall time divided by the chunk's row count.
 
 Exit codes: 0 success, 1 unexpected failure, 2 configuration problem,
-3 solution blow-up, 4 unreadable or unwritable files, 5 validation suite
-failure.
+3 solution blow-up, 4 unreadable (missing or malformed) or unwritable
+files, 5 validation suite failure.
 """
 
 from __future__ import annotations
@@ -161,7 +161,10 @@ def cmd_spinup(cfg: RunConfig) -> int:
 
 def cmd_twin(cfg: RunConfig, ckpt_path: str) -> int:
     twin_cfg = cfg.twin_config()
-    ck = load_checkpoint(ckpt_path)
+    try:
+        ck = load_checkpoint(ckpt_path)
+    except ValueError as e:  # a malformed file is an unreadable one
+        raise OSError(str(e)) from e
     if ck.state.grid != cfg.grid():
         raise ConfigError(
             f"checkpoint grid {ck.state.grid} does not match the configured grid"

@@ -138,8 +138,8 @@ def _fluxes(
 
 
 def _divergence(fx: SpectralField, fy: SpectralField) -> SpectralField:
-    """Dealiased d/dx fx + d/dy fy, of fx's parity; d/dy maps sin to cos
-    with +ky and cos to sin with -ky, as spectral.derivative_y does."""
+    """Dealiased d/dx fx + d/dy fy, of fx's parity: d/dx takes i kx, and d/dy
+    flips parity, sin -> cos with +ky and cos -> sin with -ky."""
     g = fx.grid
     dx, dy = _divergence_factors(g)
     div, ddy = dx * fx.coeffs, dy * fy.coeffs

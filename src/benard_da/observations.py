@@ -119,12 +119,11 @@ def modal_projection_mask(spec: InterpolantSpec) -> np.ndarray:
     """Boolean retention mask for the modal kind: |k| <= 1/h (read-only)."""
     if spec.kind != MODAL:
         raise ValueError(f"projection mask is defined for modal specs, not {spec.kind!r}")
-    g = spec.grid
-    k2 = g.kx[:, None] ** 2 + g.ky[None, :] ** 2
+    lam = spec.grid.lam
     try:
-        mask = k2 <= (1.0 / spec.h) ** 2
+        mask = lam <= (1.0 / spec.h) ** 2
     except OverflowError:  # so fine an h keeps every mode
-        mask = np.ones_like(k2, dtype=bool)
+        mask = np.ones_like(lam, dtype=bool)
     mask.flags.writeable = False
     return mask
 

@@ -71,16 +71,12 @@ __all__ = [
     "VectorField",
     "synthesize",
     "analyze",
-    "derivative_x",
-    "derivative_y",
-    "dealias",
     "leray_project",
     "inner_h",
     "norm_h",
     "norm_v",
     "norm_laplacian",
     "quadrature",
-    "real_mode",
     "random_scalar",
     "random_solenoidal",
     "stokes_smallest_eigenvalue",
@@ -179,8 +175,8 @@ class SpectralField:
     Construction copies the coefficients, zeroes the imaginary part of
     the self-conjugate rows (n = 0 and nx/2) and the structurally absent
     sine columns (m = 0 and m = ny), and freezes the array.  Inside the
-    package, results that nothing else references (arithmetic, calculus,
-    transforms, projections, steps) are adopted instead of copied: they
+    package, results that nothing else references (arithmetic, transforms,
+    projections, advection terms, steps) are adopted instead of copied: they
     take the same clean-up and freeze, on their own memory.  Operations
     return new fields; instances are immutable values compared by identity.
     """
@@ -431,33 +427,7 @@ def analyze(
 
 
 # ---------------------------------------------------------------------------
-# calculus
-
-
-def derivative_x(f: SpectralField) -> SpectralField:
-    return f * (1j * f.grid.kx[:, None])
-
-
-def derivative_y(f: SpectralField) -> SpectralField:
-    """d/dy flips parity: sin -> cos with +m pi, cos -> sin with -m pi.
-
-    The cos -> sin image of the m = ny column is not representable and is
-    truncated (states never carry it once dealiased).
-    """
-    g = f.grid
-    if f.parity == SIN:
-        return _adopt(g, COS, f.coeffs * g.ky[None, :])
-    return _adopt(g, SIN, f.coeffs * (-g.ky[None, :]))
-
-
-def dealias(f: Field) -> Field:
-    return f * f.grid.dealias_mask
-
-
-def _divergence_coeffs(g: Grid, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """du1/dx + du2/dy of the velocity coefficients (c1, c2): cos-parity
-    coefficients, zero per mode when solenoidal."""
-    return 1j * g.kx[:, None] * c1 + g.ky[None, :] * c2
+# projection, inner products and norms (mode by mode; exact on coefficients)
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -507,10 +477,6 @@ def _leray_factors(g: Grid) -> tuple:
     for f in factors:
         f.flags.writeable = False
     return factors
-
-
-# ---------------------------------------------------------------------------
-# inner products and norms (Parseval; exact on coefficients)
 
 
 @lru_cache(maxsize=32)
@@ -567,20 +533,7 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# constructors for tests and initial data
-
-
-def real_mode(
-    grid: Grid, parity: str, n: int, m: int, amplitude: float = 1.0, phase: float = 0.0
-) -> SpectralField:
-    """amplitude * Re[exp(i(2 pi n x / L + phase))] * basis_m(y), as a field."""
-    c = np.zeros(grid.coeff_shape, dtype=np.complex128)
-    if n in (0, grid.nx // 2, -grid.nx // 2):
-        c[abs(n), m] = amplitude * np.cos(phase)
-    else:
-        half = 0.5 * amplitude * np.exp(1j * phase)
-        c[abs(n), m] = half if n > 0 else np.conj(half)
-    return SpectralField(grid, parity, c)
+# seeded random fields
 
 
 def random_scalar(
@@ -634,9 +587,9 @@ def stokes_smallest_eigenvalue(grid: Grid) -> float:
 def solenoidality_defect(u: VectorField) -> float:
     """max |div coefficient| relative to the largest term entering it."""
     g = u.grid
-    t1 = np.abs(1j * g.kx[:, None] * u.u1.coeffs)
-    t2 = np.abs(g.ky[None, :] * u.u2.coeffs)
-    scale = max(float(t1.max()), float(t2.max()))
+    d1 = 1j * g.kx[:, None] * u.u1.coeffs
+    d2 = g.ky[None, :] * u.u2.coeffs
+    scale = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
     if scale == 0.0:
         return 0.0
-    return float(np.abs(_divergence_coeffs(g, u.u1.coeffs, u.u2.coeffs)).max()) / scale
+    return float(np.abs(d1 + d2).max()) / scale

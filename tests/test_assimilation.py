@@ -47,9 +47,9 @@ from benard_da.spectral import (
     norm_h,
     random_scalar,
     random_solenoidal,
-    real_mode,
 )
 from benard_da.stepping import BlowUpError, StepperConfig
+from helpers import real_mode
 
 GRID = Grid(2.0, 32, 16)
 SUPER = PhysicalParams(nu=0.03, kappa=0.03, mu=40.0)

@@ -181,6 +181,16 @@ class TestCompletedReport:
         d = full.as_dict()
         assert d["c0"] == 0.5 and d["K3"] == 1.0
 
+    def test_as_dict_holds_every_field_in_order(self):
+        full = with_thresholds(uniform_bounds(1.0, 1.0, 1.0, 1.0), c1=1.0, c0=0.5, K3=1.0)
+        names = (
+            "nu kappa L lambda1 c a1 a2 a3 b1 b2 b3 J0 J1 "
+            "c1 c0 K3 beta0 beta1 mu_min_type1 mu_min_type2"
+        ).split()
+        d = full.as_dict()
+        assert list(d) == names
+        assert d == {k: getattr(full, k) for k in names}
+
     def test_infinite_envelopes_give_infinite_type2(self):
         r = uniform_bounds(0.03, 0.03, 2.0, math.pi**2)
         full = with_thresholds(r, c1=0.4, K3=5.0)

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 import struct
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import benard_da
 from benard_da.checkpoint import (
     MAGIC,
     VERSION,
@@ -159,6 +162,19 @@ class TestConfig:
         assert tc.stepper.dt == cfg.dt
 
 
+def damaged(blob: bytes, how: str) -> bytes:
+    """A checkpoint's bytes with one defect: a foreign magic, a cut inside
+    the header, another format version, an nx that is no power of two, or
+    a cut inside the coefficients."""
+    return {
+        "magic": b"garbage-" + blob[8:],
+        "header": blob[:40],
+        "version": blob[:8] + struct.pack("<I", VERSION + 1) + blob[12:],
+        "grid": blob[:12] + struct.pack("<I", 24) + blob[16:],
+        "length": blob[: len(blob) // 2],
+    }[how]
+
+
 class TestCheckpoint:
     def make_state(self, with_time=0.75):
         grid = Grid(2.0, 16, 8)
@@ -236,6 +252,14 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["magic", "header", "version", "grid", "length"])
+    def test_every_refusal_names_the_file(self, tmp_path, damage):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, self.make_state(), PhysicalParams(nu=0.04, kappa=0.02), 0)
+        path.write_bytes(damaged(path.read_bytes(), damage))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_magic_is_stable(self):
@@ -411,6 +435,19 @@ class TestTwinCommand:
         save(small_config(nx=8, ny=8, output_dir=str(out)), p)
         missing = str(tmp_path / "nope.ckpt")
         assert main(["twin", "--config", str(p), missing]) == EXIT_IO
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["magic", "header", "version", "length"])
+    def test_malformed_checkpoint_is_io_error(self, twin_workspace, tmp_path, capsys, damage):
+        # a file that is not a whole checkpoint is unreadable, like a missing
+        # one: exit 4, the message names it, and no output directory is made
+        root, cfg_path, ckpt = twin_workspace
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(damaged(ckpt.read_bytes(), damage))
+        out = tmp_path / "out"
+        argv = ["twin", "--config", str(cfg_path), "--out", str(out), str(bad)]
+        assert main(argv) == EXIT_IO
+        assert f"checkpoint {bad}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_blow_up_exit_code(self, twin_workspace, tmp_path):
@@ -833,6 +870,21 @@ class TestStartUp:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize(
+        "name",
+        ["benard_da"]
+        + [f"benard_da.{m.name}" for m in pkgutil.iter_modules(benard_da.__path__)],
+    )
+    def test_every_public_name_resolves(self, name):
+        # a stale __all__ entry would break import * and go untraced by the
+        # benchmark, which wraps the names of each module's __all__
+        mod = importlib.import_module(name)
+        public = getattr(mod, "__all__", [])
+        assert len(set(public)) == len(public)
+        assert [n for n in public if not hasattr(mod, n)] == []
 
 
 class TestValidateCommand:

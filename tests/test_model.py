@@ -5,7 +5,8 @@ trigonometric mode products and the result is compared pointwise on the
 collocation grid, which is exact because the product of low modes stays
 inside the dealiasing band.  A second oracle is the convective form
 (c.grad) f, products of synthesized derivative fields, which the package
-computed before it took the divergence form.
+computed before it took the divergence form; its derivatives and dealias
+come from helpers.py, since the package keeps only the divergence.
 """
 
 import numpy as np
@@ -26,19 +27,16 @@ from benard_da.spectral import (
     SpectralField,
     VectorField,
     analyze,
-    dealias,
-    derivative_x,
-    derivative_y,
     inner_h,
     leray_project,
     norm_h,
     norm_v,
     random_scalar,
     random_solenoidal,
-    real_mode,
     solenoidality_defect,
     synthesize,
 )
+from helpers import dealias, derivative_x, derivative_y, real_mode
 
 L = 2.0
 
@@ -297,6 +295,27 @@ class TestDivergenceForm:
             "advection_velocity": 1,
             "advection_scalar": 1,
         }
+
+
+class TestDivergenceConvention:
+    @pytest.mark.parametrize("parity", ["cos", "sin"])
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (64, 32), (128, 64)])
+    def test_each_term_is_the_dealiased_derivative(self, nx, ny, parity):
+        # _divergence is the package's one derivative: each of its terms
+        # alone gives the test-side d/dx and d/dy, on full-band input; the
+        # bytes may differ in the sign of zero, so values are compared
+        g = Grid(L, nx, ny)
+        rng = np.random.default_rng(nx + ny)
+        c = rng.standard_normal(g.coeff_shape) + 1j * rng.standard_normal(g.coeff_shape)
+        f = SpectralField(g, parity, c)
+        zeros = SpectralField.zeros(g, "sin" if parity == "cos" else "cos")
+        pairs = [
+            (model._divergence(f, zeros), dealias(derivative_x(f))),
+            (model._divergence(zeros, f), dealias(derivative_y(f))),
+        ]
+        for got, want in pairs:
+            assert got.parity == want.parity
+            assert np.array_equal(got.coeffs, want.coeffs)
 
 
 class TestScalarBatch:

@@ -192,6 +192,15 @@ class TestModal:
         rhs = inner_h(f.u1, og.u1) + inner_h(f.u2, og.u2)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (64, 32), (128, 64)])
+    def test_mask_is_the_disc_of_radius_one_over_h(self, nx, ny):
+        # the mask reads the grid's lam, with the bits of kx^2 + ky^2
+        g = Grid(L, nx, ny)
+        k2 = g.kx[:, None] ** 2 + g.ky[None, :] ** 2
+        for h in (0.05, 0.2, 0.4, 1.0):
+            mask = modal_projection_mask(InterpolantSpec(MODAL, h, g))
+            assert np.array_equal(mask, k2 <= (1.0 / h) ** 2)
+
     def test_spacing_too_fine_to_square_keeps_every_mode(self, grid):
         # (1/h)**2 overflows; the mask is the whole spectrum, not an error
         assert modal_projection_mask(InterpolantSpec(MODAL, 1e-300, grid)).all()

@@ -1,4 +1,5 @@
-"""Tests for the spectral basis: transforms, calculus, projection, eigenvalues."""
+"""Tests for the spectral basis: transforms, the test-side derivatives of
+helpers.py, projection, eigenvalues."""
 
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from benard_da import spectral as sp
+from helpers import derivative_x, derivative_y, real_mode
 
 # 8th-order central difference weights for offsets 1..4 (independent oracle)
 C8 = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])
@@ -120,7 +122,7 @@ class TestTransforms:
     def test_synthesis_is_plain_sum(self):
         """Normalization contract: coefficients are literal mode amplitudes."""
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        f = sp.real_mode(g, sp.COS, 3, 2, amplitude=1.7, phase=0.3)
+        f = real_mode(g, sp.COS, 3, 2, amplitude=1.7, phase=0.3)
         X, Y = np.meshgrid(g.x, g.y, indexing="ij")
         exact = 1.7 * np.cos(2 * np.pi * 3 * X / g.L + 0.3) * np.cos(2 * np.pi * Y)
         assert np.abs(sp.synthesize(f) - exact).max() < 1e-12
@@ -326,24 +328,24 @@ class TestDerivatives:
     def test_derivative_x_analytic(self):
         """d/dx of cos(2 pi x / L) sin(pi y)."""
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        f = sp.real_mode(g, sp.SIN, 1, 1)
+        f = real_mode(g, sp.SIN, 1, 1)
         X, Y = np.meshgrid(g.x, g.y, indexing="ij")
         exact = -(2 * np.pi / g.L) * np.sin(2 * np.pi * X / g.L) * np.sin(np.pi * Y)
-        assert np.abs(sp.synthesize(sp.derivative_x(f)) - exact).max() < 1e-12
+        assert np.abs(sp.synthesize(derivative_x(f)) - exact).max() < 1e-12
 
     def test_derivative_x_of_constant_is_zero(self):
         g = sp.Grid(L=1.0, nx=16, ny=8)
-        f = sp.real_mode(g, sp.COS, 0, 0, amplitude=4.2)
-        assert np.abs(sp.derivative_x(f).coeffs).max() == 0.0
+        f = real_mode(g, sp.COS, 0, 0, amplitude=4.2)
+        assert np.abs(derivative_x(f).coeffs).max() == 0.0
 
     def test_derivative_y_pure_modes(self):
         """sin(pi y) -> pi cos(pi y) and cos(pi y) -> -pi sin(pi y)."""
         g = sp.Grid(L=1.0, nx=16, ny=16)
-        ds = sp.derivative_y(sp.real_mode(g, sp.SIN, 0, 1))
+        ds = derivative_y(real_mode(g, sp.SIN, 0, 1))
         assert ds.parity == sp.COS
         assert ds.coeffs[0, 1] == pytest.approx(np.pi)
         assert np.abs(ds.coeffs).sum() == pytest.approx(np.pi)
-        dc = sp.derivative_y(sp.real_mode(g, sp.COS, 0, 1))
+        dc = derivative_y(real_mode(g, sp.COS, 0, 1))
         assert dc.parity == sp.SIN
         assert dc.coeffs[0, 1] == pytest.approx(-np.pi)
 
@@ -351,9 +353,9 @@ class TestDerivatives:
         errs = []
         for n in (32, 64):
             g = sp.Grid(L=2.0, nx=n, ny=n)
-            f = sp.real_mode(g, sp.COS, 2, 2, 1.3, 0.4)
+            f = real_mode(g, sp.COS, 2, 2, 1.3, 0.4)
             approx = fd_derivative_x(sp.synthesize(f), g.L / g.nx)
-            errs.append(np.abs(approx - sp.synthesize(sp.derivative_x(f))).max())
+            errs.append(np.abs(approx - sp.synthesize(derivative_x(f))).max())
         assert errs[1] < 1e-7
         assert 150 < errs[0] / errs[1] < 350  # ~2^8 between halvings
 
@@ -362,9 +364,9 @@ class TestDerivatives:
         errs = []
         for size in (32, 64):
             g = sp.Grid(L=2.0, nx=size, ny=size)
-            f = sp.real_mode(g, parity, n, m, 0.9, 1.1)
+            f = real_mode(g, parity, n, m, 0.9, 1.1)
             approx = fd_derivative_y(sp.synthesize(f), parity, 1.0 / g.ny)
-            errs.append(np.abs(approx - sp.synthesize(sp.derivative_y(f))).max())
+            errs.append(np.abs(approx - sp.synthesize(derivative_y(f))).max())
         assert errs[1] < 1e-7
         assert 150 < errs[0] / errs[1] < 350
 
@@ -372,8 +374,8 @@ class TestDerivatives:
         g = sp.Grid(L=1.5, nx=32, ny=16)
         rng = np.random.default_rng(11)
         f = sp.random_scalar(g, rng, sp.COS)
-        a = sp.derivative_y(sp.derivative_x(f))
-        b = sp.derivative_x(sp.derivative_y(f))
+        a = derivative_y(derivative_x(f))
+        b = derivative_x(derivative_y(f))
         # same operator either way; reordered real factors may differ in the
         # last place, so equality is asserted at one-ulp scale
         scale = np.abs(a.coeffs).max()
@@ -384,8 +386,8 @@ class TestLerayProjection:
     def test_annihilates_gradient(self):
         """grad of cos(2 pi x / L) cos(pi y) projects to zero."""
         g = sp.Grid(L=2.0, nx=32, ny=16)
-        phi = sp.real_mode(g, sp.COS, 1, 1)
-        grad = sp.VectorField(sp.derivative_x(phi), sp.derivative_y(phi))
+        phi = real_mode(g, sp.COS, 1, 1)
+        grad = sp.VectorField(derivative_x(phi), derivative_y(phi))
         proj = sp.leray_project(grad)
         assert sp.norm_h(proj) < 1e-13 * sp.norm_h(grad)
 
@@ -519,8 +521,8 @@ class TestNormsAndStructure:
     def test_v_norm_matches_gradient_quadrature(self):
         g = sp.Grid(L=2.0, nx=32, ny=32)
         f = sp.random_scalar(g, np.random.default_rng(19), sp.SIN)
-        gx = sp.synthesize(sp.derivative_x(f))
-        gy = sp.synthesize(sp.derivative_y(f))
+        gx = sp.synthesize(derivative_x(f))
+        gy = sp.synthesize(derivative_y(f))
         quad = np.sqrt(sp.quadrature(g, gx**2 + gy**2))
         assert abs(sp.norm_v(f) - quad) < 1e-10 * quad
 
@@ -534,7 +536,7 @@ class TestNormsAndStructure:
     def test_cosine_fields_have_stress_free_walls(self):
         g = sp.Grid(L=1.0, nx=16, ny=16)
         f = sp.random_scalar(g, np.random.default_rng(29), sp.COS)
-        dvals = sp.synthesize(sp.derivative_y(f))
+        dvals = sp.synthesize(derivative_y(f))
         assert np.abs(dvals[:, 0]).max() == 0.0
         assert np.abs(dvals[:, -1]).max() == 0.0
 
@@ -552,7 +554,7 @@ class TestNormsAndStructure:
         assert clean.coeffs.tobytes() == f.coeffs.tobytes()
         for op in (
             lambda a: a * 1j,
-            lambda a: sp.derivative_x(a),
+            lambda a: derivative_x(a),
             lambda a: a - sp.SpectralField(g, sp.COS, 1j * c),
         ):
             out = op(f)

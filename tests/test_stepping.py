@@ -23,7 +23,6 @@ from benard_da.spectral import (
     norm_v,
     random_scalar,
     random_solenoidal,
-    real_mode,
     solenoidality_defect,
 )
 from benard_da.stepping import (
@@ -35,6 +34,7 @@ from benard_da.stepping import (
     step,
     tendency_history,
 )
+from helpers import real_mode
 
 
 @pytest.fixture(scope="module")
