@@ -22,11 +22,7 @@ from .assimilation import (
 )
 from .bounds import (
     BoundsReport,
-    GronwallCertificate,
-    cap_decay_coefficient,
-    decay_coefficient_series,
     estimate_ladyzhenskaya_constant,
-    gronwall_certify,
     max_observation_spacing,
     mu_threshold_type1,
     mu_threshold_type2,
@@ -81,16 +77,12 @@ __all__ = [
     "nudging_force",
     "fit_decay_rate",
     "BoundsReport",
-    "GronwallCertificate",
     "uniform_bounds",
     "mu_threshold_type1",
     "mu_threshold_type2",
     "max_observation_spacing",
     "with_thresholds",
     "estimate_ladyzhenskaya_constant",
-    "decay_coefficient_series",
-    "cap_decay_coefficient",
-    "gronwall_certify",
     "RunConfig",
     "ConfigError",
     "Checkpoint",

@@ -19,13 +19,15 @@ into the step's nudging the same way whatever the source.  One truth can
 drive several copies at once (run_twin over a sequence of configs, as a
 sweep over mu and h does); each copy is bit-identical to its own single
 run.  Error and truth-diagnostic series are sampled on a fixed step
-cadence; the data a copy was fed can be recorded to a file, and replaying
-it reproduces the live assimilated trajectory bit for bit.
+cadence; the observations a truth run feeds can be recorded to a file, and
+replaying them reproduces the live assimilated trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -326,20 +328,30 @@ class ObservationRecord:
 
     @staticmethod
     def load(path) -> "ObservationRecord":
-        with np.load(path) as z:
-            missing = [k for k in _RECORD_KEYS if k not in z.files]
-            if missing:
-                raise ValueError(f"record {path} lacks {', '.join(missing)}")
-            grid = Grid(
-                float(z["L"]), int(z["nx"]), int(z["ny"]), float(z["dealias_fraction"])
-            )
-            return ObservationRecord(
-                spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
-                dt=float(z["dt"]),
-                times=z["times"].copy(),
-                payload1=z["payload1"].copy(),
-                payload2=z["payload2"].copy(),
-            )
+        """The record at path; any refusal is a ValueError naming the file.
+
+        A file that cannot be opened raises the OSError of np.load.
+        """
+        try:
+            z = np.load(path)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with z:
+                missing = [k for k in _RECORD_KEYS if k not in z.files]
+                if missing:
+                    raise ValueError(f"lacks {', '.join(missing)}")
+                grid = Grid(
+                    float(z["L"]), int(z["nx"]), int(z["ny"]), float(z["dealias_fraction"])
+                )
+                return ObservationRecord(
+                    spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
+                    dt=float(z["dt"]),
+                    times=z["times"].copy(),
+                    payload1=z["payload1"].copy(),
+                    payload2=z["payload2"].copy(),
+                )
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as e:
+            raise ValueError(f"record {path}: {e}") from e
 
 
 class _StepObservations(dict):
@@ -368,9 +380,8 @@ class _Copy:
     """One nudged copy in a lock-step run and what stopped it, if anything.
 
     acc samples the errors against the truth every cadence steps (live
-    runs); fed collects the (time, data1, data2) rows the copy was fed
-    (record_to); residuals collects the observed-space residual at each
-    data time (replays).
+    runs); residuals collects the observed-space residual at each data time
+    (replays).
     """
 
     params: PhysicalParams
@@ -379,7 +390,6 @@ class _Copy:
     state: Optional[State] = None
     cadence: int = 1
     acc: _SeriesAccumulator = field(default_factory=_SeriesAccumulator)
-    fed: Optional[list] = None
     residuals: Optional[list] = None
     history: Optional[History] = None
     failure: Optional[Exception] = None
@@ -388,10 +398,8 @@ class _Copy:
         """Step the copy across the step whose observations are obs."""
         mu, spec = self.params.mu, self.spec
         nd = None
-        if mu > 0.0 or self.fed is not None or self.residuals is not None:
-            t, data, u_obs = obs[spec]
-            if self.fed is not None:
-                self.fed.append((t, *data))
+        if mu > 0.0 or self.residuals is not None:
+            _, _, u_obs = obs[spec]
         if mu > 0.0 and spec.kind == MODAL:
             nd = NudgingStep(
                 mu=mu,
@@ -509,8 +517,7 @@ def run_twin(
     copies = [
         _Copy(c.params, c.spec, c.stepper, cadence=c.sample_cadence) for c in configs
     ]
-    if record_to is not None:
-        copies[0].fed = []
+    fed = [] if record_to is not None else None  # (time, data1, data2) rows
     diagnostics = None
     for c, cfg_c in zip(copies, configs):
         try:
@@ -527,6 +534,9 @@ def run_twin(
                 truth, first.params, first.stepper, history=t_hist, label="truth"
             )
             obs = _StepObservations(truth, nxt)
+            if fed is not None:
+                t, data, _ = obs[first.spec]
+                fed.append((t, *data))
             truth = nxt
             yield truth, obs
 
@@ -535,7 +545,7 @@ def run_twin(
     if single and copies[0].failure is not None:
         raise copies[0].failure
     if record_to is not None:
-        stream = map(np.array, zip(*copies[0].fed))  # times, payload1, payload2
+        stream = map(np.array, zip(*fed))  # times, payload1, payload2
         ObservationRecord(first.spec, first.stepper.dt, *stream).save(record_to)
 
     results = [

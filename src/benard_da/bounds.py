@@ -13,18 +13,13 @@ The a-priori bounds overflow to exp-scale infinities for strongly
 supercritical parameters or a nu or kappa whose powers underflow; they
 and the thresholds are then reported as inf rather than raising, and any
 finite configured mu compares as not satisfying them.
-
-The decay certificate follows a sliding-window Gronwall argument: if every
-window integral of the damping coefficient is at least gamma > 0 and the
-negative part stays bounded, the squared synchronization error decays
-exponentially with per-time rate at least gamma/tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,10 +43,6 @@ __all__ = [
     "max_observation_spacing",
     "with_thresholds",
     "estimate_ladyzhenskaya_constant",
-    "decay_coefficient_series",
-    "cap_decay_coefficient",
-    "GronwallCertificate",
-    "gronwall_certify",
 ]
 
 
@@ -95,8 +86,6 @@ class BoundsReport:
     c1: Optional[float] = None
     c0: Optional[float] = None
     K3: Optional[float] = None
-    beta0: Optional[float] = None
-    beta1: Optional[float] = None
     mu_min_type1: Optional[float] = None
     mu_min_type2: Optional[float] = None
 
@@ -188,29 +177,22 @@ def with_thresholds(
     c1: float,
     c0: Optional[float] = None,
     K3: Optional[float] = None,
-    beta0: Optional[float] = None,
-    beta1: Optional[float] = None,
 ) -> BoundsReport:
-    """Completed report: thresholds filled in from the estimated constants.
+    """The report of uniform_bounds with its thresholds filled in.
 
-    The two-term threshold is computed only when K3 is supplied; beta0 and
-    beta1 default to the envelopes J0/J1 themselves (their smallest
-    admissible values) when the envelopes are finite.
+    The two-term threshold is computed only when K3 is supplied, with the
+    envelopes J0/J1 as beta0/beta1 (their smallest admissible values); it
+    is inf when an envelope is.
     """
-    mu1 = mu_threshold_type1(report, c1)
     mu2 = None
     if K3 is not None:
-        b0 = report.J0 if beta0 is None else beta0
-        b1 = report.J1 if beta1 is None else beta1
-        if math.isfinite(b0) and math.isfinite(b1):
-            mu2 = mu_threshold_type2(report, c1, b0, b1, K3)
-        else:
-            mu2 = math.inf
-        return replace(
-            report, c1=c1, c0=c0, K3=K3, beta0=b0, beta1=b1,
-            mu_min_type1=mu1, mu_min_type2=mu2,
-        )
-    return replace(report, c1=c1, c0=c0, mu_min_type1=mu1)
+        J0, J1 = report.J0, report.J1
+        finite = math.isfinite(J0) and math.isfinite(J1)
+        mu2 = mu_threshold_type2(report, c1, J0, J1, K3) if finite else math.inf
+    return replace(
+        report, c1=c1, c0=c0, K3=K3,
+        mu_min_type1=mu_threshold_type1(report, c1), mu_min_type2=mu2,
+    )
 
 
 def estimate_ladyzhenskaya_constant(
@@ -242,129 +224,3 @@ def estimate_ladyzhenskaya_constant(
             l4sq = math.sqrt(quadrature(grid, vals**4))
             worst = max(worst, l4sq / (norm_h(f) * norm_v(f)))
     return worst
-
-
-def decay_coefficient_series(
-    mu: float,
-    nu: float,
-    kappa: float,
-    lambda1: float,
-    c1: float,
-    u_v_norms: Sequence[float],
-    theta_v_norms: Sequence[float],
-) -> np.ndarray:
-    """Instantaneous damping coefficient of the synchronization error.
-
-    alpha(t) = mu - 4/(kappa lambda1) - 4 c1^2 |u|_V^2 / nu
-               - 4 c1^4 |theta|_V^4 / (kappa^2 lambda1 nu),
-    evaluated from measured reference-trajectory norms.
-    """
-    uu = np.asarray(u_v_norms, dtype=float)
-    tt = np.asarray(theta_v_norms, dtype=float)
-    if uu.shape != tt.shape:
-        raise ValueError("norm series must have equal length")
-    return (
-        mu
-        - 4.0 / (kappa * lambda1)
-        - 4.0 * c1**2 * uu**2 / nu
-        - 4.0 * c1**4 * tt**4 / (kappa**2 * lambda1 * nu)
-    )
-
-
-def cap_decay_coefficient(
-    alpha: Sequence[float], nu: float, kappa: float, lambda1: float
-) -> np.ndarray:
-    """Effective damping: the error cannot decay faster than dissipation.
-
-    The differential inequality for the squared error holds with
-    min(nu lambda1 / 2, kappa lambda1 / 2, alpha(t)), so certification
-    against observed decay must use this capped coefficient.
-    """
-    cap = 0.5 * lambda1 * min(nu, kappa)
-    return np.minimum(np.asarray(alpha, dtype=float), cap)
-
-
-@dataclass(frozen=True)
-class GronwallCertificate:
-    certified: bool
-    gamma: float
-    rate: float
-    tau: float
-    max_negative_part: float
-    observed_rate: Optional[float] = None
-    consistent: Optional[bool] = None
-
-
-def _window_trapezoid(times: np.ndarray, values: np.ndarray, t0: float, t1: float) -> float:
-    inside = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-    ts = times[inside]
-    vs = values[inside]
-    if ts[-1] < t1 - 1e-12:
-        ts = np.append(ts, t1)
-        vs = np.append(vs, np.interp(t1, times, values))
-    if len(ts) < 4:
-        raise ValueError(
-            f"mesh too coarse: window [{t0:.6g}, {t1:.6g}] holds {len(ts)} samples, need 4"
-        )
-    dt = np.diff(ts)
-    return float(np.sum(0.5 * dt * (vs[:-1] + vs[1:])))
-
-
-def gronwall_certify(
-    times: Sequence[float],
-    alpha: Sequence[float],
-    tau: float,
-    y: Optional[Sequence[float]] = None,
-) -> GronwallCertificate:
-    """Sliding-window decay certificate for dY/dt + alpha(t) Y <= 0.
-
-    Certifies when every window integral of alpha over length tau is at
-    least some gamma > 0 (gamma is the smallest such integral) and reports
-    the largest window integral of the negative part.  When the sampled Y
-    is supplied, its fitted exponential rate is cross-checked against the
-    certified rate gamma/tau: consistency means decaying at least 80% as
-    fast as certified.
-    """
-    t = np.asarray(times, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    if t.ndim != 1 or t.shape != a.shape or len(t) < 2:
-        raise ValueError("times and alpha must be equal-length 1-D series")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not (tau > 0):
-        raise ValueError("tau must be positive")
-    if t[-1] - t[0] < tau:
-        raise ValueError("series span is shorter than one window")
-
-    neg = np.maximum(-a, 0.0)
-    gamma = math.inf
-    neg_max = 0.0
-    for i in range(len(t)):
-        t1 = t[i] + tau
-        if t1 > t[-1] + 1e-12:
-            break
-        gamma = min(gamma, _window_trapezoid(t, a, t[i], t1))
-        neg_max = max(neg_max, _window_trapezoid(t, neg, t[i], t1))
-    certified = bool(gamma > 0.0) and math.isfinite(neg_max)
-    rate = gamma / tau
-
-    observed = None
-    consistent = None
-    if y is not None:
-        yv = np.asarray(y, dtype=float)
-        ok = yv > 0.0
-        if ok.sum() >= 2:
-            slope = np.polyfit(t[ok], np.log(yv[ok]), 1)[0]
-            observed = float(-slope)
-            if certified:
-                consistent = bool(observed >= 0.8 * rate)
-    return GronwallCertificate(
-        certified=certified,
-        gamma=float(gamma),
-        rate=float(rate),
-        tau=float(tau),
-        max_negative_part=float(neg_max),
-        observed_rate=observed,
-        consistent=consistent,
-    )
-

@@ -27,10 +27,7 @@ from benard_da.assimilation import (
     spin_up,
 )
 from benard_da.bounds import (
-    cap_decay_coefficient,
-    decay_coefficient_series,
     estimate_ladyzhenskaya_constant,
-    gronwall_certify,
     max_observation_spacing,
     mu_threshold_type1,
     mu_threshold_type2,
@@ -67,6 +64,7 @@ from benard_da.spectral import (
     stokes_smallest_eigenvalue,
 )
 from benard_da.stepping import StepperConfig, integrate, step
+from helpers import cap_decay_coefficient, decay_coefficient_series, gronwall_certify
 
 NU = 0.03
 KAPPA = 0.03

@@ -7,6 +7,8 @@ everything relaxes to conduction.
 """
 
 import dataclasses
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -438,6 +440,41 @@ class TestSharedTruth:
             run_twin([twin_config()], record_to=tmp_path / "obs.npz")
 
 
+def _garbage(path):
+    path.write_bytes(np.random.default_rng(5).bytes(160))
+
+
+def _first_half(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _undecodable_member(path):
+    # a first deflate byte of 0xff declares the reserved block type; the
+    # member's data follow its local header, whose name and extra-field
+    # lengths are the two little-endian shorts at offset 26
+    blob = bytearray(path.read_bytes())
+    at = zipfile.ZipFile(path).getinfo("times.npy").header_offset
+    blob[at + 30 + sum(struct.unpack_from("<HH", blob, at + 26))] = 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _plain_array(path):
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
+
+
+def _stored(key, value):
+    """A spoiler that rewrites the record with key stored as value."""
+
+    def rewrite(path):
+        with np.load(path) as z:
+            kept = {k: z[k] for k in z.files}
+        np.savez_compressed(path, **{**kept, key: value})
+
+    return rewrite
+
+
 class TestObservationReplay:
     @pytest.mark.parametrize("kind,mu", [(MODAL, 40.0), (VOLUME, 20.0), (NODAL, 20.0)])
     def test_replay_reproduces_live_run_exactly(self, tmp_path, kind, mu):
@@ -510,6 +547,35 @@ class TestObservationReplay:
         monkeypatch.setattr(assimilation, "step", no_step)
         with pytest.raises(ValueError, match="lacks dealias_fraction"):
             run_from_record(ObservationRecord.load(older), SUPER, spec, STEP)
+
+    @pytest.mark.parametrize(
+        "spoil,match",
+        [
+            (_garbage, "pickled"),
+            (_first_half, "not a zip file"),
+            (_undecodable_member, "invalid block type"),
+            (_plain_array, "not an .npz archive"),
+            (_stored("kind", "bogus"), "kind must be one of"),
+            (_stored("h", -1.0), "h must be positive"),
+            (_stored("nx", np.array([32, 16])), "arrays can be converted"),
+        ],
+        ids=[
+            "garbage", "first-half", "undecodable-member", "plain-array",
+            "bogus-kind", "negative-h", "array-nx",
+        ],
+    )
+    def test_malformed_record_file_refused_naming_it(self, tmp_path, spoil, match):
+        path = tmp_path / "obs.npz"
+        run_twin(twin_config(run_time=0.02, spinup_time=0.0), record_to=path)
+        spoil(path)
+        with pytest.raises(ValueError) as err:
+            ObservationRecord.load(path)
+        assert str(err.value).startswith(f"record {path}: ")
+        assert match in str(err.value)
+
+    def test_missing_record_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ObservationRecord.load(tmp_path / "absent.npz")
 
 
     @pytest.mark.parametrize("kind", [MODAL, VOLUME, NODAL])

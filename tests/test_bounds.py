@@ -1,5 +1,5 @@
 """Threshold arithmetic against a frozen hand-computed table, plus the
-decay certifier on analytically known series."""
+test-only decay certifier (tests/helpers.py) on analytically known series."""
 
 import math
 
@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from benard_da.bounds import (
-    cap_decay_coefficient,
-    decay_coefficient_series,
     estimate_ladyzhenskaya_constant,
-    gronwall_certify,
     max_observation_spacing,
     mu_threshold_type1,
     mu_threshold_type2,
@@ -18,6 +15,7 @@ from benard_da.bounds import (
     with_thresholds,
 )
 from benard_da.spectral import Grid
+from helpers import cap_decay_coefficient, decay_coefficient_series, gronwall_certify
 
 E2 = math.exp(2.0)
 REL = 1e-14
@@ -176,7 +174,7 @@ class TestCompletedReport:
         r = uniform_bounds(1.0, 1.0, 1.0, 1.0)
         full = with_thresholds(r, c1=1.0, c0=0.5, K3=1.0)
         assert close(full.mu_min_type1, 24.0 + 48.0 * E2)
-        assert full.beta0 == r.J0 and full.beta1 == r.J1
+        assert full.mu_min_type2 == mu_threshold_type2(r, 1.0, r.J0, r.J1, 1.0)
         assert full.mu_min_type2 is not None
         d = full.as_dict()
         assert d["c0"] == 0.5 and d["K3"] == 1.0
@@ -185,7 +183,7 @@ class TestCompletedReport:
         full = with_thresholds(uniform_bounds(1.0, 1.0, 1.0, 1.0), c1=1.0, c0=0.5, K3=1.0)
         names = (
             "nu kappa L lambda1 c a1 a2 a3 b1 b2 b3 J0 J1 "
-            "c1 c0 K3 beta0 beta1 mu_min_type1 mu_min_type2"
+            "c1 c0 K3 mu_min_type1 mu_min_type2"
         ).split()
         d = full.as_dict()
         assert list(d) == names
