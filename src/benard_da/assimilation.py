@@ -280,10 +280,7 @@ class _SeriesAccumulator:
 
 
 # what ObservationRecord.save writes: the spec flat, then the stream
-_RECORD_KEYS = (
-    "kind", "h", "L", "nx", "ny", "dealias_fraction",
-    "dt", "times", "payload1", "payload2",
-)
+_RECORD_KEYS = ("kind", "h", "L", "nx", "ny", "dt", "times", "payload1", "payload2")
 
 
 @dataclass(frozen=True)
@@ -292,8 +289,8 @@ class ObservationRecord:
 
     spec is the observation spec that made the record, its grid included,
     and dt the step; a replay takes only an equal spec and dt.  save()
-    writes the spec flat (kind, h, L, nx, ny, dealias_fraction) and load()
-    rebuilds it, refusing a file that lacks any of them.
+    writes the spec flat (kind, h, L, nx, ny) and load() rebuilds it,
+    refusing a file that lacks any of them.
 
     Row k holds the data observations.measure() gave at step k: modal
     records store the complex coefficients of the observed modes at
@@ -319,7 +316,6 @@ class ObservationRecord:
             L=g.L,
             nx=g.nx,
             ny=g.ny,
-            dealias_fraction=g.dealias_fraction,
             dt=self.dt,
             times=self.times,
             payload1=self.payload1,
@@ -340,9 +336,7 @@ class ObservationRecord:
                 missing = [k for k in _RECORD_KEYS if k not in z.files]
                 if missing:
                     raise ValueError(f"lacks {', '.join(missing)}")
-                grid = Grid(
-                    float(z["L"]), int(z["nx"]), int(z["ny"]), float(z["dealias_fraction"])
-                )
+                grid = Grid(float(z["L"]), int(z["nx"]), int(z["ny"]))
                 return ObservationRecord(
                     spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
                     dt=float(z["dt"]),
@@ -506,13 +500,13 @@ def run_twin(
             raise ValueError(f"{name}_policy='custom' requires an explicit {name}")
     g = first.spec.grid
     if truth0 is None:
-        truth, t_hist = spin_up(
+        # the spin-up's history is dropped, so that a given truth0 starts alike
+        truth0, _ = spin_up(
             first.params, g, first.stepper, first.spinup_time, seed=first.seed
         )
-    else:
-        if truth0.grid != g:
-            raise ValueError("truth0 grid does not match the observation spec")
-        truth, t_hist = truth0, None
+    elif truth0.grid != g:
+        raise ValueError("truth0 grid does not match the observation spec")
+    truth, t_hist = truth0, None
 
     copies = [
         _Copy(c.params, c.spec, c.stepper, cadence=c.sample_cadence) for c in configs
@@ -684,14 +678,12 @@ def slaving_contract_margin(
     gap(t) <= exp(-2 kappa lambda1 (t - s)) gap(s); the returned value is
     the max of gap(t) / envelope over all pairs (<= 1 means satisfied).
     Pairs whose reference gap is zero are skipped (identically zero gap
-    stays zero by linearity).
+    stays zero by linearity).  With lev = log gap + 2 kappa lambda1 t, the
+    worst pair ending at t compares lev(t) with the running minimum of lev,
+    so memory stays linear in the sample count.
     """
-    t = series.times
-    y = series.diff_sq
-    env = y[:, None] * np.exp(-2.0 * kappa * lambda1 * (t[None, :] - t[:, None]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = y[None, :] / env
-    iu = np.triu_indices(len(t), k=0)
-    vals = ratio[iu]
-    vals = vals[np.isfinite(vals)]
-    return float(np.max(vals)) if len(vals) else 0.0
+    pos = series.diff_sq > 0
+    if not pos.any():
+        return 0.0
+    lev = np.log(series.diff_sq[pos]) + 2.0 * kappa * lambda1 * series.times[pos]
+    return float(np.exp(np.max(lev - np.minimum.accumulate(lev))))

@@ -1,16 +1,17 @@
 """Binary state checkpoints.
 
 Layout: an 8-byte magic string, a uint32 format version, the grid (nx,
-ny, dealias fraction, L), the physical parameters (nu, kappa, mu), the
-state time, the seed, and a history flag, followed by the coefficient
-arrays (u1, u2, theta) as little-endian complex pairs of 64-bit floats in
-declared order, each the rows n = 0 .. nx/2 of the half spectrum, shape
+ny, L), the physical parameters (nu, kappa, mu), the state time, the
+seed, and a history flag, followed by the coefficient arrays (u1, u2,
+theta) as little-endian complex pairs of 64-bit floats in declared
+order, each the rows n = 0 .. nx/2 of the half spectrum, shape
 (nx/2 + 1, ny + 1).  When the flag is set, the stepper history (its
 (3, nx/2 + 1, ny + 1) tendency stack, u1, u2 and theta in that order,
 and its dt) follows, so a resumed run reproduces an uninterrupted one
 bit for bit.  Resuming takes the dt the history was made with; the
-stepper refuses any other.  Version 1 files held all nx rows and version
-2 headers also held the observation spacing h; both are refused.
+stepper refuses any other.  Version 1 files held all nx rows, version 2
+headers also held the observation spacing h and version 3 headers the
+dealias fraction; all are refused.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .stepping import History
 __all__ = ["MAGIC", "VERSION", "Checkpoint", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"BENARDDA"
-VERSION = 3
+VERSION = 4
 
-_HEADER = struct.Struct("<8sIII6dqB")  # magic, version, nx, ny, floats, seed, flag
+_HEADER = struct.Struct("<8sIII5dqB")  # magic, version, nx, ny, floats, seed, flag
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ def save_checkpoint(
         VERSION,
         g.nx,
         g.ny,
-        g.dealias_fraction,
         g.L,
         params.nu,
         params.kappa,
@@ -97,7 +97,6 @@ def _decode(blob: bytes) -> Checkpoint:
         version,
         nx,
         ny,
-        dealias_fraction,
         L,
         nu,
         kappa,
@@ -110,7 +109,7 @@ def _decode(blob: bytes) -> Checkpoint:
         raise ValueError(f"not a checkpoint file (magic {magic!r})")
     if version != VERSION:
         raise ValueError(f"format version {version}, expected {VERSION}")
-    grid = Grid(L, nx, ny, dealias_fraction)
+    grid = Grid(L, nx, ny)
     shape = grid.coeff_shape
     count = shape[0] * shape[1]
     nbytes = 16 * count

@@ -45,7 +45,6 @@ class RunConfig:
     h: float = 0.2
     nx: int = 128
     ny: int = 64
-    dealias_fraction: float = 2.0 / 3.0
     dt: float = 5e-3
     interpolant_kind: str = "modal"
     spinup_time: float = 100.0
@@ -77,7 +76,7 @@ class RunConfig:
         self.twin_config()  # an owner's ValueError passes through unchanged
 
     def grid(self) -> Grid:
-        return Grid(self.L, self.nx, self.ny, self.dealias_fraction)
+        return Grid(self.L, self.nx, self.ny)
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(nu=self.nu, kappa=self.kappa, mu=self.mu)

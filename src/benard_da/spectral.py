@@ -92,8 +92,9 @@ class Grid:
     """Discretization of (0, L) x (0, 1): nx Fourier modes by ny + 1 wall modes.
 
     nx and ny must be powers of two (transform efficiency contract) and at
-    least 8.  dealias_fraction sets the retained band for quadratic products:
-    |n| <= floor(dealias_fraction * nx / 2), m <= floor(dealias_fraction * ny).
+    least 8.  Quadratic products keep the 2/3 band (Orszag's rule), fixed
+    so that advection stays orthogonal and its products alias-free:
+    |n| <= nx // 3, m <= 2 * ny // 3.
     shape is the collocation shape (nx, ny + 1), coeff_shape the coefficient
     shape (nx/2 + 1, ny + 1); kx, lam and dealias_mask follow the
     coefficient rows n = 0 .. nx/2.
@@ -102,7 +103,6 @@ class Grid:
     L: float
     nx: int
     ny: int
-    dealias_fraction: float = 2.0 / 3.0
 
     # derived arrays, filled in __post_init__
     x: np.ndarray = field(init=False, repr=False, compare=False)
@@ -122,10 +122,6 @@ class Grid:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if not 8 <= n < 2**32 or n & (n - 1):
                 raise ValueError(f"{name} must be a power of two in [8, 2**31], got {n}")
-        if not (1 / self.ny <= self.dealias_fraction <= 1):  # keeps a sine mode
-            raise ValueError(
-                f"dealias_fraction must lie in [1/ny, 1], got {self.dealias_fraction}"
-            )
         # the largest lam, in python floats, which overflow to inf without a warning
         kx, ky = np.pi * float(self.nx) / float(self.L), np.pi * float(self.ny)
         if not np.isfinite(kx * kx + ky * ky):
@@ -150,9 +146,7 @@ class Grid:
         mult = np.full(nx // 2 + 1, 2.0)
         mult[0] = mult[-1] = 1.0
         put("multiplicity", mult)
-        ncut = int(np.floor(self.dealias_fraction * nx / 2))
-        mcut = int(np.floor(self.dealias_fraction * ny))
-        mask = (n[:, None] <= ncut) & (np.arange(ny + 1)[None, :] <= mcut)
+        mask = (n[:, None] <= nx // 3) & (np.arange(ny + 1)[None, :] <= 2 * ny // 3)
         put("dealias_mask", mask)
         wy = np.full(ny + 1, 1.0 / ny)
         wy[0] *= 0.5

@@ -52,6 +52,20 @@ def real_mode(grid, parity, n, m, amplitude=1.0, phase=0.0):
     return SpectralField(grid, parity, c)
 
 
+def pairwise_contract_margin(series, kappa, lambda1):
+    """slaving_contract_margin over every sample pair s <= t at once: the
+    n x n form the package replaced, kept as its oracle."""
+    t = series.times
+    y = series.diff_sq
+    env = y[:, None] * np.exp(-2.0 * kappa * lambda1 * (t[None, :] - t[:, None]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = y[None, :] / env
+    iu = np.triu_indices(len(t), k=0)
+    vals = ratio[iu]
+    vals = vals[np.isfinite(vals)]
+    return float(np.max(vals)) if len(vals) else 0.0
+
+
 def decay_coefficient_series(
     mu: float,
     nu: float,

@@ -8,6 +8,7 @@ everything relaxes to conduction.
 
 import dataclasses
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -19,6 +20,7 @@ from benard_da.assimilation import (
     PERTURBED_TRUTH,
     ErrorSeries,
     ObservationRecord,
+    SlavingSeries,
     TwinConfig,
     TwinResult,
     fit_decay_rate,
@@ -51,7 +53,7 @@ from benard_da.spectral import (
     random_solenoidal,
 )
 from benard_da.stepping import BlowUpError, StepperConfig
-from helpers import real_mode
+from helpers import pairwise_contract_margin, real_mode
 
 GRID = Grid(2.0, 32, 16)
 SUPER = PhysicalParams(nu=0.03, kappa=0.03, mu=40.0)
@@ -234,14 +236,13 @@ class TestNudgingForce:
         assert got.u1.coeffs.tobytes() == want.u1.coeffs.tobytes()
         assert got.u2.coeffs.tobytes() == want.u2.coeffs.tobytes()
 
-    @pytest.mark.parametrize("kind, h", [(MODAL, 0.01), (VOLUME, 0.125), (NODAL, 0.125)])
-    def test_force_bits_where_the_projection_leaves_a_signed_zero(self, kind, h):
-        # with the full band kept, a u2 mode on the row n = nx/2 projects
-        # onto u1 entries of zero real and non-zero imaginary part; the
-        # field expression zeroes that imaginary part before the scaling,
-        # and the sign of the scaled real zero depends on it
-        grid = Grid(2.0, 16, 8, dealias_fraction=1.0)
-        spec = InterpolantSpec(kind, h, grid)
+    def test_force_bits_where_the_projection_leaves_a_signed_zero(self):
+        # the modal disc of radius 1/h = 100 keeps the row n = nx/2, where
+        # a u2 mode projects onto u1 entries of zero real and non-zero
+        # imaginary part; the field expression zeroes that imaginary part
+        # before the scaling, and the sign of the scaled real zero depends on it
+        grid = Grid(2.0, 16, 8)
+        spec = InterpolantSpec(MODAL, 0.01, grid)
         zero = VectorField.zeros(grid)
         for amplitude in (0.3, -0.3):
             c2 = np.zeros(grid.coeff_shape, dtype=complex)
@@ -302,6 +303,20 @@ class TestRunTwin:
         assert np.array_equal(d.times, res.errors.times)
         assert d.k3 == np.max(d.a0u_sq)
         assert d.k3 > 0
+
+    def test_own_spin_up_starts_the_truth_as_a_given_truth0(self):
+        # the spin-up's step history is dropped, so that the truth starts
+        # alike whether run_twin spins it up or is handed the state
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=20.0)
+        cfg = twin_config(params=params, spinup_time=0.5, run_time=0.25)
+        own = run_twin(cfg)
+        truth0, _ = spin_up(params, GRID, STEP, 0.5, seed=3)
+        given = run_twin(cfg, truth0=truth0)
+        for name in ("times", "w_h", "w_v", "xi_h", "xi_v"):
+            assert getattr(own.errors, name).tobytes() == getattr(given.errors, name).tobytes()
+        assert own.truth_final.temperature.coeffs.tobytes() == (
+            given.truth_final.temperature.coeffs.tobytes()
+        )
 
     def test_blow_up_labels_trajectory(self):
         rng = np.random.default_rng(1)
@@ -506,47 +521,6 @@ class TestObservationReplay:
         other = StepperConfig(dt=1e-3)
         with pytest.raises(ValueError, match="match"):
             run_from_record(rec, SUPER, spec, other)
-
-    @pytest.mark.parametrize("kind", [MODAL, VOLUME])
-    def test_record_from_another_dealias_fraction_refused_before_any_step(
-        self, tmp_path, monkeypatch, kind
-    ):
-        # the observed data have the same shape on both grids; only the
-        # record's spec tells them apart
-        grid = Grid(2.0, 16, 8)
-        spec = InterpolantSpec(kind, 0.2, grid)
-        cfg = twin_config(spec=spec, run_time=0.02, spinup_time=0.0)
-        path = tmp_path / "obs.npz"
-        run_twin(cfg, record_to=path)
-        rec = ObservationRecord.load(path)
-        assert rec.spec.grid.dealias_fraction == 2.0 / 3.0
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("stepped before refusing the record")
-
-        monkeypatch.setattr(assimilation, "step", no_step)
-        other = InterpolantSpec(kind, 0.2, Grid(2.0, 16, 8, dealias_fraction=0.5))
-        with pytest.raises(ValueError, match="match"):
-            run_from_record(rec, SUPER, other, STEP)
-
-    def test_record_without_dealias_fraction_refused_before_any_step(
-        self, tmp_path, monkeypatch
-    ):
-        spec = InterpolantSpec(MODAL, 0.2, GRID)
-        cfg = twin_config(run_time=0.02, spinup_time=0.0)
-        path = tmp_path / "obs.npz"
-        run_twin(cfg, record_to=path)
-        with np.load(path) as z:
-            kept = {k: z[k] for k in z.files if k != "dealias_fraction"}
-        older = tmp_path / "older.npz"
-        np.savez_compressed(older, **kept)
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("stepped before refusing the record")
-
-        monkeypatch.setattr(assimilation, "step", no_step)
-        with pytest.raises(ValueError, match="lacks dealias_fraction"):
-            run_from_record(ObservationRecord.load(older), SUPER, spec, STEP)
 
     @pytest.mark.parametrize(
         "spoil,match",
@@ -763,6 +737,37 @@ class TestTemperatureSlaving:
         series = run_temperature_slaving(truth, SUPER, STEP, ta, tb, run_time=1.0)
         margin = slaving_contract_margin(series, SUPER.kappa, np.pi**2)
         assert margin <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_margin_matches_the_pairwise_oracle(self, seed):
+        # gaps that grow and shrink, with exact zeros at random samples
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        times = np.cumsum(rng.uniform(0.0, 0.05, n))
+        gaps = np.exp(rng.normal(0.0, 3.0, n))
+        gaps[rng.random(n) < 0.2] = 0.0
+        series = SlavingSeries(times, gaps)
+        kappa, lambda1 = rng.uniform(0.01, 0.1), np.pi**2
+        want = pairwise_contract_margin(series, kappa, lambda1)
+        got = slaving_contract_margin(series, kappa, lambda1)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_margin_of_all_zero_gaps_is_zero(self):
+        series = SlavingSeries(np.arange(5.0), np.zeros(5))
+        assert slaving_contract_margin(series, 0.03, np.pi**2) == 0.0
+        assert pairwise_contract_margin(series, 0.03, np.pi**2) == 0.0
+
+    def test_margin_memory_is_linear_in_the_samples(self):
+        # the pairwise form peaks near 130 MB at 2,000 samples
+        rng = np.random.default_rng(5)
+        series = SlavingSeries(np.arange(2000) * 5e-3, np.exp(rng.normal(0.0, 1.0, 2000)))
+        tracemalloc.start()
+        try:
+            slaving_contract_margin(series, 0.03, np.pi**2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_grid_mismatch_rejected(self):
         other = Grid(2.0, 16, 8)

@@ -54,6 +54,10 @@ def small_config(**overrides) -> RunConfig:
     return RunConfig(**kw)
 
 
+# keys a config file once took; each is now unknown, at any value
+REMOVED_KEYS = ["cfl_target = 0.5", "dealias_fraction = 0.6666666666666666"]
+
+
 def config_text(cfg: RunConfig, **values) -> str:
     """Config text of cfg with the given keys set to values that the
     RunConfig constructor would refuse, so that only a command meets them."""
@@ -155,7 +159,7 @@ class TestConfig:
 
     def test_materializers_agree(self):
         cfg = small_config()
-        assert cfg.grid() == Grid(cfg.L, cfg.nx, cfg.ny, cfg.dealias_fraction)
+        assert cfg.grid() == Grid(cfg.L, cfg.nx, cfg.ny)
         assert cfg.physical_params().mu == cfg.mu
         tc = cfg.twin_config()
         assert tc.spec.h == cfg.h
@@ -226,8 +230,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("version", [VERSION - 2, VERSION - 1, VERSION + 1])
     def test_version_mismatch_rejected(self, tmp_path, version):
-        # version 1 held all nx coefficient rows and version 2 also held h
-        # in the header; the message names both versions
+        # version 2 held h and version 3 the dealias fraction in the
+        # header; the message names both versions
         s = self.make_state()
         p = PhysicalParams(nu=0.04, kappa=0.02)
         path = tmp_path / "s.ckpt"
@@ -264,7 +268,21 @@ class TestCheckpoint:
 
     def test_magic_is_stable(self):
         assert MAGIC == b"BENARDDA"
-        assert VERSION == 3
+        assert VERSION == 4
+
+    def test_version_3_file_refused_naming_it(self, tmp_path):
+        # version 3 headers held the dealias fraction between ny and L
+        s = self.make_state()
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, s, PhysicalParams(nu=0.04, kappa=0.02), seed=0)
+        blob = path.read_bytes()
+        nx, ny, *rest = struct.unpack_from("<II5dqB", blob, 12)
+        older = struct.pack("<8sIII6dqB", MAGIC, 3, nx, ny, 2.0 / 3.0, *rest)
+        path.write_bytes(older + blob[69:])
+        with pytest.raises(
+            ValueError, match=f"checkpoint {re.escape(str(path))}: format version 3, expected 4"
+        ):
+            load_checkpoint(path)
 
 
 class TestSpinupCommand:
@@ -466,14 +484,17 @@ class TestTwinCommand:
         assert main(["twin", "--config", str(p), str(bad_ckpt)]) == EXIT_BLOWUP
 
 
-    def test_cfl_target_is_config_error(self, twin_workspace, tmp_path):
-        # the twin steps at the fixed dt, so a CFL bound is an unknown key
+    @pytest.mark.parametrize("line", REMOVED_KEYS)
+    def test_cfl_target_is_config_error(self, twin_workspace, tmp_path, capsys, line):
+        # the twin steps at the fixed dt and keeps the fixed 2/3 band, so a
+        # CFL bound or a dealias fraction is an unknown key
         root, cfg_path, ckpt = twin_workspace
-        cfg = small_config(output_dir=str(tmp_path))
-        p = tmp_path / "cfl.cfg"
-        p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
+        out = tmp_path / "out"
+        p = tmp_path / "removed.cfg"
+        p.write_text(dumps(small_config(output_dir=str(out))) + line + "\n")
         assert main(["twin", "--config", str(p), str(ckpt)]) == EXIT_CONFIG
-        assert not (tmp_path / "errors.csv").exists()
+        assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInfiniteRunTime:
@@ -517,9 +538,6 @@ REFUSED_AT_LOAD = {
     ),
     "v0_policy=custom": (dict(v0_policy="custom"), "v0_policy = custom needs a state"),
     "eta0_policy=custom": (dict(eta0_policy="custom"), "eta0_policy = custom needs a state"),
-    "dealias_fraction=1e-300": (
-        dict(dealias_fraction=1e-300), "dealias_fraction must lie in [1/ny, 1], got 1e-300"
-    ),
     "nx=2**32": (dict(nx=2**32), "nx must be a power of two in [8, 2**31], got 4294967296"),
     "L=1e-300": (dict(L=1e-300), "L=1e-300 is too small for nx=32"),
     "volume-cells-beyond-nx": (
@@ -672,16 +690,19 @@ class TestSweepCommand:
         assert rows[1]["rate"] != ""
 
 
-    def test_cfl_target_is_config_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("line", REMOVED_KEYS)
+    def test_cfl_target_is_config_error(self, tmp_path, monkeypatch, capsys, line):
         def no_integration(*args, **kwargs):
             raise AssertionError("sweep integrated before rejecting its config")
 
         monkeypatch.setattr(cli, "spin_up", no_integration)
-        cfg = small_config(sweep_mu=(10.0,), output_dir=str(tmp_path))
-        p = tmp_path / "cfl.cfg"
-        p.write_text(dumps(cfg) + "cfl_target = 0.5\n")
+        out = tmp_path / "out"
+        cfg = small_config(sweep_mu=(10.0,), output_dir=str(out))
+        p = tmp_path / "removed.cfg"
+        p.write_text(dumps(cfg) + line + "\n")
         assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
-        assert not (tmp_path / "sweep.csv").exists()
+        assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_spinup_step_leaves_no_directory(self, tmp_path):
         out = tmp_path / "out"

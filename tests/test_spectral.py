@@ -63,14 +63,6 @@ class TestGrid:
                 sp.Grid(L=length, nx=8, ny=8)
             assert np.isfinite(sp.Grid(L=1e-150, nx=8, ny=8).lam).all()
 
-    @pytest.mark.parametrize("fraction", [1e-300, 0.12, np.nan])
-    def test_rejects_band_without_sine_mode(self, fraction):
-        # floor(fraction * ny) = 0 keeps only m = 0, where the sine basis vanishes
-        with pytest.raises(ValueError, match="dealias_fraction"):
-            sp.Grid(L=2.0, nx=8, ny=8, dealias_fraction=fraction)
-        g = sp.Grid(L=2.0, nx=8, ny=8, dealias_fraction=1 / 8)
-        assert sp.stokes_smallest_eigenvalue(g) == pytest.approx(np.pi**2)
-
     def test_wavenumber_conventions(self):
         g = sp.Grid(L=2.0, nx=16, ny=8)
         assert g.coeff_shape == (9, 9) and g.shape == (16, 9)
@@ -82,10 +74,31 @@ class TestGrid:
     def test_dealias_band_avoids_power_of_two_collisions(self):
         # products of retained modes must alias outside the retained band
         g = sp.Grid(L=1.0, nx=64, ny=32)
-        ncut = int(np.floor(g.dealias_fraction * g.nx / 2))
-        mcut = int(np.floor(g.dealias_fraction * g.ny))
+        ncut = np.flatnonzero(g.dealias_mask[:, 0]).max()
+        mcut = np.flatnonzero(g.dealias_mask[0]).max()
         assert 3 * ncut < g.nx
         assert 3 * mcut < 2 * g.ny
+
+    @pytest.mark.parametrize("n", [2**k for k in range(3, 13)])
+    def test_dealias_mask_is_the_integer_two_thirds_rule(self, n):
+        # the mask is a product of a row and a column band, so each axis is
+        # swept against the smallest partner: rows |n| <= nx // 3 and
+        # columns m <= 2 ny // 3, the same as floor(2/3 nx / 2) and
+        # floor(2/3 ny)
+        for g in (sp.Grid(L=2.0, nx=n, ny=8), sp.Grid(L=2.0, nx=8, ny=n)):
+            rows = np.arange(g.nx // 2 + 1) <= g.nx // 3
+            cols = np.arange(g.ny + 1) <= 2 * g.ny // 3
+            assert np.array_equal(g.dealias_mask, rows[:, None] & cols[None, :])
+            assert rows.sum() - 1 == int(np.floor(2.0 / 3.0 * g.nx / 2))
+            assert cols.sum() - 1 == int(np.floor(2.0 / 3.0 * g.ny))
+
+    @pytest.mark.parametrize("nx, ny", [(16, 8), (64, 32), (128, 64)])
+    def test_dealias_mask_has_the_bytes_of_the_float_rule(self, nx, ny):
+        g = sp.Grid(L=2.0, nx=nx, ny=ny)
+        ncut = int(np.floor(2.0 / 3.0 * nx / 2))
+        mcut = int(np.floor(2.0 / 3.0 * ny))
+        want = (np.arange(nx // 2 + 1)[:, None] <= ncut) & (np.arange(ny + 1) <= mcut)
+        assert g.dealias_mask.tobytes() == want.tobytes()
 
 
 class TestTransforms:
