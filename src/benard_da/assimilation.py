@@ -18,9 +18,13 @@ data of observations.measure() and its interpolant I_h; a copy turns it
 into the step's nudging the same way whatever the source.  One truth can
 drive several copies at once (run_twin over a sequence of configs, as a
 sweep over mu and h does); each copy is bit-identical to its own single
-run.  Error and truth-diagnostic series are sampled on a fixed step
-cadence; the observations a truth run feeds can be recorded to a file, and
-replaying them reproduces the live assimilated trajectory bit for bit.
+run: each prepares its own nudging, then the live copies take the step as
+one coefficient stack, in one call of stepping.step; if that call
+raises, they take it again one by one, so a blow-up or a refused dt
+stops only its own copy.  Error and truth-diagnostic series are sampled
+on a fixed step cadence; the observations a truth run feeds can be
+recorded to a file, and replaying them reproduces the live assimilated
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -290,7 +294,7 @@ class ObservationRecord:
     spec is the observation spec that made the record, its grid included,
     and dt the step; a replay takes only an equal spec and dt.  save()
     writes the spec flat (kind, h, L, nx, ny) and load() rebuilds it,
-    refusing a file that lacks any of them.
+    refusing a file that lacks any of them or holds any other key.
 
     Row k holds the data observations.measure() gave at step k: modal
     records store the complex coefficients of the observed modes at
@@ -336,6 +340,9 @@ class ObservationRecord:
                 missing = [k for k in _RECORD_KEYS if k not in z.files]
                 if missing:
                     raise ValueError(f"lacks {', '.join(missing)}")
+                unknown = [k for k in z.files if k not in _RECORD_KEYS]
+                if unknown:
+                    raise ValueError(f"unknown key {', '.join(unknown)}")
                 grid = Grid(float(z["L"]), int(z["nx"]), int(z["ny"]))
                 return ObservationRecord(
                     spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
@@ -375,7 +382,7 @@ class _Copy:
 
     acc samples the errors against the truth every cadence steps (live
     runs); residuals collects the observed-space residual at each data time
-    (replays).
+    (replays) against u_obs, the step's interpolated observations.
     """
 
     params: PhysicalParams
@@ -387,37 +394,56 @@ class _Copy:
     residuals: Optional[list] = None
     history: Optional[History] = None
     failure: Optional[Exception] = None
+    u_obs: Optional[VectorField] = None
 
-    def advance(self, obs: _StepObservations) -> None:
-        """Step the copy across the step whose observations are obs."""
+    def nudging(self, obs: _StepObservations) -> Optional[NudgingStep]:
+        """The copy's nudging across the step whose observations are obs."""
         mu, spec = self.params.mu, self.spec
-        nd = None
         if mu > 0.0 or self.residuals is not None:
-            _, _, u_obs = obs[spec]
-        if mu > 0.0 and spec.kind == MODAL:
-            nd = NudgingStep(
-                mu=mu,
-                observed_mask=modal_projection_mask(spec),
-                data1=u_obs.u1.coeffs,
-                data2=u_obs.u2.coeffs,
-            )
-        elif mu > 0.0:
-            force = nudging_force(self.state.velocity, u_obs, spec, mu)
-            nd = NudgingStep(mu=mu, force=force)
+            _, _, self.u_obs = obs[spec]
         # The residual is taken at the data's time: before the step for the
         # start-of-step volume/nodal data, after it for the modal end-of-step.
-        if self.residuals is not None and spec.kind != MODAL:
-            self.residuals.append(norm_h(observe(self.state.velocity, spec) - u_obs))
-        self.state, self.history = step(
-            self.state,
-            self.params,
-            self.stepper,
-            nudging=nd,
-            history=self.history,
-            label="assimilated",
-        )
-        if self.residuals is not None and spec.kind == MODAL:
-            self.residuals.append(norm_h(observe(self.state.velocity, spec) - u_obs))
+        if spec.kind != MODAL:
+            self.take_residual()
+        if mu == 0.0:
+            return None
+        if spec.kind == MODAL:
+            u = self.u_obs
+            return NudgingStep(mu, modal_projection_mask(spec), u.u1.coeffs, u.u2.coeffs)
+        return NudgingStep(mu, force=nudging_force(self.state.velocity, self.u_obs, spec, mu))
+
+    def take_residual(self) -> None:
+        if self.residuals is not None:
+            o = observe(self.state.velocity, self.spec)
+            self.residuals.append(norm_h(o - self.u_obs))
+
+
+def _advance(copies: List[_Copy], obs: _StepObservations) -> None:
+    """Step the copies across the step whose observations are obs: as one
+    stack, and if that raises, again one by one, each as a stack of one."""
+    batch = []
+    for c in copies:
+        try:
+            batch.append((c, c.nudging(obs)))
+        except Exception as e:
+            c.failure = e
+
+    def take(group):
+        states, nudges, hists = zip(*[(c.state, nd, c.history) for c, nd in group])
+        c0 = group[0][0]
+        new = step(states, c0.params, c0.stepper, nudges, history=hists, label="assimilated")
+        for (c, _), s, h in zip(group, *new):
+            c.state, c.history = s, h
+
+    try:
+        if batch:
+            take(batch)
+    except Exception:
+        for one in batch:
+            try:
+                take([one])
+            except Exception as e:
+                one[0].failure = e
 
 
 def _lock_step(
@@ -434,10 +460,12 @@ def _lock_step(
         return
     try:
         for k, (truth, obs) in enumerate(feed, 1):
+            _advance(live, obs)
             diagnostics = None
-            for c in live:
+            for c in (c for c in live if c.failure is None):
                 try:
-                    c.advance(obs)
+                    if c.spec.kind == MODAL:
+                        c.take_residual()
                     if truth is not None and k % c.cadence == 0:
                         diagnostics = diagnostics or _truth_diagnostics(truth)
                         c.acc.sample(truth, c.state, diagnostics)

@@ -2,10 +2,10 @@
 
 Layout: an 8-byte magic string, a uint32 format version, the grid (nx,
 ny, L), the physical parameters (nu, kappa, mu), the state time, the
-seed, and a history flag, followed by the coefficient arrays (u1, u2,
+seed, and a 0/1 history flag, followed by the coefficient arrays (u1, u2,
 theta) as little-endian complex pairs of 64-bit floats in declared
 order, each the rows n = 0 .. nx/2 of the half spectrum, shape
-(nx/2 + 1, ny + 1).  When the flag is set, the stepper history (its
+(nx/2 + 1, ny + 1).  When the flag is 1, the stepper history (its
 (3, nx/2 + 1, ny + 1) tendency stack, u1, u2 and theta in that order,
 and its dt) follows, so a resumed run reproduces an uninterrupted one
 bit for bit.  Resuming takes the dt the history was made with; the
@@ -109,6 +109,8 @@ def _decode(blob: bytes) -> Checkpoint:
         raise ValueError(f"not a checkpoint file (magic {magic!r})")
     if version != VERSION:
         raise ValueError(f"format version {version}, expected {VERSION}")
+    if flag not in (0, 1):
+        raise ValueError(f"history flag {flag}")
     grid = Grid(L, nx, ny)
     shape = grid.coeff_shape
     count = shape[0] * shape[1]

@@ -35,7 +35,10 @@ from .spectral import (
     SpectralField,
     VectorField,
     _adopt,
+    _analyze,
     _buffer,
+    _clean,
+    _leray_coeffs,
     analyze,
     leray_project,
     synthesize,
@@ -220,3 +223,35 @@ def explicit_rhs(
         vec = vec + fu
         sc = sc + ft
     return leray_project(vec), sc
+
+
+def _stack_tendencies(states: Sequence[State]) -> np.ndarray:
+    """explicit_rhs of passenger-free states on one grid, without forcing,
+    as one (K, 3, nx/2 + 1, ny + 1) stack with the bits of one call
+    per state: one synthesis of the 3K fields, one cos and one sin flux
+    analysis, then _divergence's products and sums, the buoyancy and the
+    projection on the stack.  A clean that a later one overrides is skipped."""
+    g, k, shape = states[0].grid, len(states), (-1,) + states[0].grid.shape
+    rows = [f for s in states for f in (s.velocity.u1, s.velocity.u2, s.temperature)]
+    v = synthesize(rows).reshape((k, 3) + g.shape)
+    flux = _buffer((5, k) + g.shape, float, "flux")
+    for out, (i, j) in zip(flux, ((0, 0), (1, 1), (1, 2), (1, 0), (0, 2))):
+        np.multiply(v[:, i], v[:, j], out=out)
+    del v  # released before the analyses allocate
+    cos = _clean(_analyze(g, flux[:3].reshape(shape), COS), COS)
+    sin = _clean(_analyze(g, flux[3:].reshape(shape), SIN), SIN)
+    cos, sin = cos.reshape((3, k) + g.coeff_shape), sin.reshape((2, k) + g.coeff_shape)
+    # adv u1 into cos[0]; adv u2, adv theta and their buoyancy rows into sin
+    dx, dy = _divergence_factors(g)
+    ddy = dy * sin[0]
+    np.multiply(dx, cos[0], out=cos[0])
+    cos[0] += ddy
+    np.multiply(dx, sin, out=sin)
+    np.multiply(dy, cos[1:], out=cos[1:])
+    sin -= cos[1:]
+    for i, s in enumerate(states):
+        np.subtract(s.temperature.coeffs, sin[0, i], out=sin[0, i])
+        np.subtract(s.velocity.u2.coeffs, sin[1, i], out=sin[1, i])
+    adv1, rest = _clean(np.negative(cos[0], out=cos[0]), COS), _clean(sin, SIN)
+    p1, p2 = _leray_coeffs(g, adv1, rest[0])
+    return np.stack((_clean(p1, COS), _clean(p2, SIN), rest[1]), axis=1)

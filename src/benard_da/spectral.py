@@ -306,14 +306,14 @@ class _Fresh:
 
 
 def _clean(c: np.ndarray, parity: str) -> np.ndarray:
-    """The constructor's clean-up, in place: zero the imaginary part of the
-    self-conjugate rows n = 0 and nx/2 and, for sine parity, the m = 0 and
-    m = ny columns."""
-    c.imag[0] = 0.0
-    c.imag[-1] = 0.0
+    """The constructor's clean-up, in place, also of a stack of arrays: zero
+    the imaginary part of the self-conjugate rows n = 0 and nx/2 and, for
+    sine parity, the m = 0 and m = ny columns."""
+    c.imag[..., 0, :] = 0.0
+    c.imag[..., -1, :] = 0.0
     if parity == SIN:
-        c[:, 0] = 0.0
-        c[:, -1] = 0.0
+        c[..., 0] = 0.0
+        c[..., -1] = 0.0
     return c
 
 
@@ -402,6 +402,14 @@ def analyze(
     list of K fields of the one parity, whose coefficients are the rows of
     a real FFT in x.  Sine analysis ignores the wall values.
     """
+    c = _analyze(grid, values, parity)
+    if c.ndim == 2:
+        return _adopt(grid, parity, c)
+    return [_adopt(grid, parity, ci) for ci in c]
+
+
+def _analyze(grid: Grid, values: np.ndarray, parity: str) -> np.ndarray:
+    """analyze()'s fresh coefficients, not yet cleaned as fields' are."""
     v = np.asarray(values, dtype=float)
     if v.shape[-2:] != grid.shape or v.ndim not in (2, 3):
         raise ValueError(
@@ -414,10 +422,7 @@ def analyze(
     t, stack = _buffer(v.shape, float), (-1,) + grid.shape
     for vk, tk in zip(v.reshape(stack), t.reshape(stack)):
         np.matmul(vk[:, j], table[j], out=tk)
-    c = np.fft.rfft(t, axis=-2, norm="forward")
-    if c.ndim == 2:
-        return _adopt(grid, parity, c)
-    return [_adopt(grid, parity, ci) for ci in c]
+    return np.fft.rfft(t, axis=-2, norm="forward")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ history takes its own start-of-step tendencies as the previous ones.  A
 run spans a whole number of steps: a length that is negative, not finite
 or not a whole multiple of dt is refused before any step.  One kernel,
 step(), advances the velocity, the temperature and the passive
-temperatures of State.passengers as the rows of one stack.
+temperatures of State.passengers as the rows of one stack, and a
+sequence of states (a run's nudged copies) as one coefficient stack whose
+tendencies come from one array kernel.  A lone State keeps explicit_rhs,
+whose advection calls the traced benchmark requires, until it no longer does.
 
 Nudging enters in one of two prepared forms (built by the assimilation
 layer): a diagonal damping on observed modes folded into the implicit solve
@@ -25,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .model import Forcing, PhysicalParams, State, advection_scalar, explicit_rhs
+from .model import _stack_tendencies
 from .spectral import COS, SIN, Grid, VectorField, _adopt, _buffer
 
 __all__ = [
@@ -194,91 +198,89 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def tendency_history(
-    s: State, cfg: StepperConfig, forcing: Optional[Forcing] = None
-) -> History:
-    """The explicit tendencies of s: the History a step from s returns.
-
-    step()'s helper.  Each passenger takes theta's tendency
-    u2 - (u.grad) passenger, without the forcing.
-    """
-    vec, sc = explicit_rhs(s, forcing)
-    rows = [vec.u1.coeffs, vec.u2.coeffs, sc.coeffs]
-    if s.passengers:
-        u = s.velocity
-        rows += [(u.u2 - a).coeffs for a in advection_scalar(u, s.passengers)]
-    e = np.stack(rows)
-    e.flags.writeable = False
-    return History(e, cfg.dt)
-
-
 def step(
-    s: State,
+    s: Union[State, Sequence[State]],
     p: PhysicalParams,
     cfg: StepperConfig,
-    nudging: Optional[NudgingStep] = None,
+    nudging: Union[None, NudgingStep, Sequence[Optional[NudgingStep]]] = None,
     forcing: Optional[Forcing] = None,
-    history: Optional[History] = None,
+    history: Union[None, History, Sequence[Optional[History]]] = None,
     label: Optional[str] = None,
-) -> Tuple[State, History]:
+) -> tuple:
     """Advance one CNAB2 step of cfg.dt; returns the new state and history.
 
     A given history must come from a step of the same dt and hold one row
     per row of the state; without one, the step's own start-of-step
     tendencies stand in for the previous ones.  Passengers take kappa
     diffusion and the start-of-step velocity; a blow-up in one names it
-    "passenger k".
+    "passenger k".  A sequence of passenger-free states on one grid takes
+    no forcing, one nudging and history entry per state (None for none)
+    and gives lists, each entry with the bits of a step of its state alone.
     """
-    g, dt = s.grid, cfg.dt
-    rows = 3 + len(s.passengers)
-    if history is not None and history.dt != dt:
-        raise ValueError(f"history was made with dt={history.dt}, not dt={dt}")
-    if history is not None and len(history.tendencies) != rows:
-        raise ValueError(f"history has {len(history.tendencies)} rows, the state {rows}")
-    new_history = tendency_history(s, cfg, forcing)
-    # u1, u2, theta and the passengers advance as one stack; the diffusion
-    # factors belong to the velocity pair (nu) and to the temperatures (kappa)
-    e = new_history.tendencies
+    single = isinstance(s, State)
+    states = [s] if single else list(s)
+    nudges = [nudging] if single else list(nudging or [None] * len(states))
+    hists = [history] if single else list(history or [None] * len(states))
+    if not single and (
+        not states or forcing is not None or any(x.passengers for x in states)
+    ):
+        raise ValueError("a stacked step takes states without passengers or forcing")
+    g, dt, rows = states[0].grid, cfg.dt, 3 + len(states[0].passengers)
+    if {len(nudges), len(hists)} != {len(states)} or any(x.grid != g for x in states):
+        raise ValueError("stacked states need one grid and one nudging and history each")
+    for h in hists:
+        if h is not None and h.dt != dt:
+            raise ValueError(f"history was made with dt={h.dt}, not dt={dt}")
+        if h is not None and len(h.tendencies) != rows:
+            raise ValueError(f"history has {len(h.tendencies)} rows, the state {rows}")
+    if single:
+        # each passenger takes theta's tendency u2 - (u.grad) passenger, unforced
+        vec, sc = explicit_rhs(s, forcing)
+        tend, u = [vec.u1.coeffs, vec.u2.coeffs, sc.coeffs], s.velocity
+        if s.passengers:
+            tend += [(u.u2 - a).coeffs for a in advection_scalar(u, s.passengers)]
+        e = np.stack(tend)[None]
+    else:
+        e = _stack_tendencies(states)
+    e.flags.writeable = False
+    # u1, u2, theta and any passengers of every state advance as one stack; the
+    # diffusion factors belong to the velocity pair (nu) and the temperatures
     c = np.empty_like(e)
     x = np.multiply(e, 1.5, out=_buffer(e.shape, complex, "step"))
-    np.multiply(e if history is None else history.tendencies, -0.5, out=c)
+    for ck, ek, h in zip(c, e, hists):
+        np.multiply(ek if h is None else h.tendencies, -0.5, out=ck)
     x += c
     x *= dt
     num_u, den_u = _diffusion_factors(g, p.nu, dt)
     num_t, den_t = _diffusion_factors(g, p.kappa, dt)
 
-    u, temperatures = s.velocity, (s.temperature, *s.passengers)
-    np.multiply(u.u1.coeffs, num_u, out=c[0])
-    np.multiply(u.u2.coeffs, num_u, out=c[1])
-    for row, f in zip(c[2:], temperatures):
-        np.multiply(f.coeffs, num_t, out=row)
-    c += x
-
-    if nudging is not None and nudging.mu > 0:
-        if nudging.force is not None:
-            _check_explicit_nudging(dt, nudging.mu)
-            c[0] += dt * nudging.force.u1.coeffs
-            c[1] += dt * nudging.force.u2.coeffs
-        else:
-            mask = np.asarray(nudging.observed_mask)
-            den_u = _nudged_denominator(
-                g, p.nu, dt, nudging.mu, (mask.dtype.str, mask.shape, mask.tobytes())
-            )
-            c[0] += dt * nudging.mu * nudging.data1
-            c[1] += dt * nudging.mu * nudging.data2
-
-    c[:2] /= den_u
-    c[2:] /= den_t
-    t_new = s.time + dt
-    _check_finite(c, s.time, t_new, label)
-    # the new fields are views of c, which nothing else keeps
-    new = State(
-        VectorField(_adopt(g, COS, c[0]), _adopt(g, SIN, c[1])),
-        _adopt(g, SIN, c[2]),
-        t_new,
-        tuple(_adopt(g, SIN, r) for r in c[3:]),
-    )
-    return new, new_history
+    for ck, xk, old, nd in zip(c, x, states, nudges):
+        u, den = old.velocity, den_u
+        np.multiply(u.u1.coeffs, num_u, out=ck[0])
+        np.multiply(u.u2.coeffs, num_u, out=ck[1])
+        for row, f in zip(ck[2:], (old.temperature, *old.passengers)):
+            np.multiply(f.coeffs, num_t, out=row)
+        ck += xk
+        if nd is not None and nd.mu > 0 and nd.force is not None:
+            _check_explicit_nudging(dt, nd.mu)
+            ck[0] += dt * nd.force.u1.coeffs
+            ck[1] += dt * nd.force.u2.coeffs
+        elif nd is not None and nd.mu > 0:
+            mask = np.asarray(nd.observed_mask)
+            key = (mask.dtype.str, mask.shape, mask.tobytes())
+            den = _nudged_denominator(g, p.nu, dt, nd.mu, key)
+            ck[0] += dt * nd.mu * nd.data1
+            ck[1] += dt * nd.mu * nd.data2
+        ck[:2] /= den
+    c[:, 2:] /= den_t
+    new = []
+    for ck, old in zip(c, states):
+        _check_finite(ck, old.time, old.time + dt, label)
+        # the new fields are views of c, which nothing else keeps
+        vel = VectorField(_adopt(g, COS, ck[0]), _adopt(g, SIN, ck[1]))
+        temps = [_adopt(g, SIN, r) for r in ck[2:]]
+        new.append(State(vel, temps[0], old.time + dt, tuple(temps[1:])))
+    return (new[0], History(e[0], dt)) if single else (new, [History(r, dt) for r in e])
 
 
 def integrate(

@@ -433,6 +433,25 @@ class TestSharedTruth:
         for i in (0, 3):
             assert_same_run(shared[i], run_twin(configs[i], truth0=attractor_state))
 
+    def test_late_blow_up_stops_only_its_copy(self, attractor_state):
+        # a 300-norm perturbation takes several good stacked steps before
+        # it blows up; the step that fails is retried copy by copy, and the
+        # other copies go on with the bits of their lone runs
+        configs = [
+            row_config(VOLUME, 20.0, 0.2),
+            row_config(NODAL, 20.0, 0.2, v0_policy=PERTURBED_TRUTH, epsilon=300.0),
+            row_config(MODAL, 40.0, 0.25),
+        ]
+        shared = run_twin(configs, truth0=attractor_state)
+        assert isinstance(shared[1], BlowUpError)
+        assert shared[1].label == "assimilated"
+        assert shared[1].time > attractor_state.time + 3 * STEP.dt
+        with pytest.raises(BlowUpError) as ei:
+            run_twin(configs[1], truth0=attractor_state)
+        assert str(ei.value) == str(shared[1])
+        for i in (0, 2):
+            assert_same_run(shared[i], run_twin(configs[i], truth0=attractor_state))
+
     @pytest.mark.parametrize(
         "other",
         [{"stepper": StepperConfig(dt=1e-3)}, {"run_time": 0.2}],
@@ -532,10 +551,11 @@ class TestObservationReplay:
             (_stored("kind", "bogus"), "kind must be one of"),
             (_stored("h", -1.0), "h must be positive"),
             (_stored("nx", np.array([32, 16])), "arrays can be converted"),
+            (_stored("dealias_fraction", 0.5), "unknown key dealias_fraction"),
         ],
         ids=[
             "garbage", "first-half", "undecodable-member", "plain-array",
-            "bogus-kind", "negative-h", "array-nx",
+            "bogus-kind", "negative-h", "array-nx", "unknown-key",
         ],
     )
     def test_malformed_record_file_refused_naming_it(self, tmp_path, spoil, match):

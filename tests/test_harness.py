@@ -34,7 +34,7 @@ from benard_da.cli import (
 from benard_da.config import ConfigError, RunConfig, dumps, load, parse, save
 from benard_da.model import PhysicalParams, State
 from benard_da.spectral import SIN, Grid, random_scalar, random_solenoidal
-from benard_da.stepping import History, integrate
+from benard_da.stepping import History, StepperConfig, integrate, step
 from benard_da.assimilation import spin_up
 
 
@@ -264,6 +264,23 @@ class TestCheckpoint:
         save_checkpoint(path, self.make_state(), PhysicalParams(nu=0.04, kappa=0.02), 0)
         path.write_bytes(damaged(path.read_bytes(), damage))
         with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_history_flag_other_than_0_or_1_refused(self, tmp_path, flag):
+        # the flag is the header's last byte; a with-history file keeps its
+        # length, so only the flag check can refuse it
+        path = tmp_path / "s.ckpt"
+        state, p = self.make_state(), PhysicalParams(nu=0.04, kappa=0.02)
+        _, hist = step(state, p, StepperConfig(dt=0.01))
+        save_checkpoint(path, state, p, seed=0, history=hist)
+        blob = bytearray(path.read_bytes())
+        assert blob[68] == 1
+        blob[68] = flag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            ValueError, match=f"checkpoint {re.escape(str(path))}: history flag {flag}$"
+        ):
             load_checkpoint(path)
 
     def test_magic_is_stable(self):
@@ -798,13 +815,16 @@ class TestSweepCommand:
 
     def test_truth_integrated_once(self, tmp_path, monkeypatch):
         # the spin-up steps through stepping.integrate; every step after it
-        # goes through the binding in assimilation
-        labels = []
+        # goes through the binding in assimilation, the copies of one time
+        # step as one stack
+        labels, copies = [], []
         real_step = assimilation.step
 
-        def counting_step(*args, **kwargs):
+        def counting_step(s, *args, **kwargs):
             labels.append(kwargs.get("label"))
-            return real_step(*args, **kwargs)
+            if kwargs.get("label") == "assimilated":
+                copies.append(len(s))
+            return real_step(s, *args, **kwargs)
 
         monkeypatch.setattr(assimilation, "step", counting_step)
         cfg = small_config(
@@ -819,7 +839,8 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(p)]) == EXIT_OK
         n = int(round(0.1 / 2e-3))
         assert labels.count("truth") == n
-        assert labels.count("assimilated") == 3 * n
+        assert labels.count("assimilated") == n
+        assert copies == [3] * n
 
 
 class TestCheckConditionsCommand:

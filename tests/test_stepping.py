@@ -32,7 +32,6 @@ from benard_da.stepping import (
     StepperConfig,
     integrate,
     step,
-    tendency_history,
 )
 from helpers import real_mode
 
@@ -576,7 +575,7 @@ class TestPassengers:
     def test_passenger_equal_to_theta_stays_equal_under_primed_start(self, grid):
         s = self.random_state(grid)
         s = State(s.velocity, s.temperature, passengers=(s.temperature,))
-        hist = tendency_history(s, self.cfg)
+        _, hist = step(s, self.p, self.cfg)  # the tendencies of s
         assert np.array_equal(hist.tendencies[2], hist.tendencies[3])
         out, _ = integrate(s, self.p, self.cfg, 0.2, history=hist)
         assert out.passengers[0].coeffs.tobytes() == out.temperature.coeffs.tobytes()
@@ -598,6 +597,107 @@ class TestPassengers:
         with pytest.raises(BlowUpError, match=r"\|passenger 1\|") as ei:
             step(huge, self.p, self.cfg, label="truth")
         assert ei.value.field == "passenger 1"
+
+
+def state_bytes(s):
+    return [f.coeffs.tobytes() for f in (s.velocity.u1, s.velocity.u2, s.temperature)]
+
+
+class TestStackedStep:
+    """step() on a sequence of states: the nudged copies of one run."""
+
+    p = PhysicalParams(nu=0.05, kappa=0.05)
+    cfg = StepperConfig(dt=0.01)
+
+    def states(self, grid, n, seed=23):
+        rng = np.random.default_rng(seed)
+        return [
+            State(
+                random_solenoidal(grid, rng, norm=0.5),
+                random_scalar(grid, rng, "sin", norm=0.5),
+                time=0.25,
+            )
+            for _ in range(n)
+        ]
+
+    def nudgings(self, grid, truth):
+        # no nudging, modal implicit, explicit force, mu = 0 and modal again
+        spec = InterpolantSpec("modal", 0.25, grid)
+        obs = observe(truth.velocity, spec)
+        modal = NudgingStep(
+            mu=30.0,
+            observed_mask=modal_projection_mask(spec),
+            data1=obs.u1.coeffs,
+            data2=obs.u2.coeffs,
+        )
+        force = NudgingStep(mu=20.0, force=random_solenoidal(grid, np.random.default_rng(4)))
+        return [None, modal, force, NudgingStep(mu=0.0, force=force.force), modal]
+
+    def test_rows_match_single_steps(self, grid):
+        states = self.states(grid, 5)
+        nudges = self.nudgings(grid, states[0])
+        # rows with and without history, over two stacked steps
+        hists = [None, None, None, None, None]
+        for _ in range(2):
+            new, new_hists = step(states, self.p, self.cfg, nudging=nudges, history=hists)
+            assert len(new) == len(new_hists) == len(states)
+            for i, s in enumerate(states):
+                ref, ref_hist = step(s, self.p, self.cfg, nudging=nudges[i], history=hists[i])
+                assert state_bytes(new[i]) == state_bytes(ref)
+                assert new[i].time == ref.time
+                assert new_hists[i].tendencies.tobytes() == ref_hist.tendencies.tobytes()
+                assert new_hists[i].dt == ref_hist.dt
+            states = new
+            hists = [h if i % 2 else None for i, h in enumerate(new_hists)]
+
+    def test_stack_of_one_and_default_entries(self, grid):
+        (s,) = self.states(grid, 1)
+        ref, ref_hist = step(s, self.p, self.cfg)
+        (new,), (hist,) = step([s], self.p, self.cfg)
+        assert state_bytes(new) == state_bytes(ref)
+        assert hist.tendencies.tobytes() == ref_hist.tendencies.tobytes()
+
+    def test_refusals(self, grid):
+        a, b = self.states(grid, 2)
+        rider = State(a.velocity, a.temperature, passengers=(b.temperature,))
+        other = State.zeros(Grid(2.0, 16, 8))
+
+        def forcing(t):
+            return VectorField.zeros(grid), SpectralField.zeros(grid, "sin")
+
+        for bad, kwargs, match in (
+            ([a, b], {"forcing": forcing}, "without passengers or forcing"),
+            ([a, rider], {}, "without passengers or forcing"),
+            ([], {}, "without passengers or forcing"),
+            ([a, b], {"nudging": [None]}, "one nudging and history each"),
+            ([a, b], {"history": [None, None, None]}, "one nudging and history each"),
+            ([a, other], {}, "need one grid"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                step(bad, self.p, self.cfg, **kwargs)
+
+    def test_refused_dt_and_blow_up_raise_for_the_stack(self, grid):
+        a, b = self.states(grid, 2)
+        stiff = NudgingStep(mu=1e3, force=VectorField.zeros(grid))
+        with pytest.raises(ValueError, match="1/\\(2 mu\\)"):
+            step([a, b], self.p, self.cfg, nudging=[None, stiff])
+        huge = State(a.velocity, 1e15 * a.temperature, a.time)
+        with pytest.raises(BlowUpError, match="theta") as ei:
+            step([a, huge], self.p, self.cfg, label="assimilated")
+        assert ei.value.label == "assimilated"
+
+    def test_later_stacked_steps_leave_earlier_results_unchanged(self, grid):
+        states = self.states(grid, 3)
+        s1, h1 = step(states, self.p, self.cfg)
+        kept = [h.tendencies for h in h1] + [a for s in s1 for a in (
+            s.velocity.u1.coeffs, s.velocity.u2.coeffs, s.temperature.coeffs
+        )]
+        before = [a.tobytes() for a in kept]
+        s, h = s1, h1
+        for _ in range(4):
+            s, h = step(s, self.p, self.cfg, history=h)
+        assert [a.tobytes() for a in kept] == before
+        assert not any(a.flags.writeable for a in kept)
 
 
 class TestBlasThreads:
