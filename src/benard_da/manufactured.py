@@ -75,63 +75,46 @@ class ManufacturedCase:
     def _bdot(self, t: float) -> float:
         return -self.b1 * self.omega * math.sin(self.omega * t)
 
-    def state(self, t: float) -> State:
+    def _fields(self, g_amp: float, b_amp: float) -> Tuple[VectorField, SpectralField]:
+        """The case's velocity and temperature at amplitudes g and b."""
         g = self.grid
         a = 2.0 * math.pi / g.L
         x, y = self._mesh()
-        gt, bt = self._g(t), self._b(t)
-        u1 = math.pi * gt * np.sin(a * x) * np.cos(math.pi * y)
-        u2 = -a * gt * np.cos(a * x) * np.sin(math.pi * y)
-        th = bt * np.cos(a * x) * np.sin(math.pi * y)
-        c2, cth = analyze(g, np.stack([u2, th]), SIN)
-        return State(VectorField(analyze(g, u1, COS), c2), cth, t)
+        sc = np.sin(a * x) * np.cos(math.pi * y)
+        cs = np.cos(a * x) * np.sin(math.pi * y)
+        c2, cth = analyze(g, np.stack([-a * g_amp * cs, b_amp * cs]), SIN)
+        return VectorField(analyze(g, math.pi * g_amp * sc, COS), c2), cth
+
+    def state(self, t: float) -> State:
+        return State(*self._fields(self._g(t), self._b(t)), t)
 
     def time_derivative(self, t: float) -> Tuple[VectorField, SpectralField]:
-        g = self.grid
-        a = 2.0 * math.pi / g.L
-        x, y = self._mesh()
-        gd, bd = self._gdot(t), self._bdot(t)
-        du1 = math.pi * gd * np.sin(a * x) * np.cos(math.pi * y)
-        du2 = -a * gd * np.cos(a * x) * np.sin(math.pi * y)
-        dth = bd * np.cos(a * x) * np.sin(math.pi * y)
-        c2, cth = analyze(g, np.stack([du2, dth]), SIN)
-        return VectorField(analyze(g, du1, COS), c2), cth
+        return self._fields(self._gdot(t), self._bdot(t))
 
     def forcing(self, t: float) -> Tuple[VectorField, SpectralField]:
         """Residual of the unforced equations at the exact solution.
 
-        The advection terms collapse by the Pythagorean identity:
-        (u . grad u)_x = (pi^2 a / 2) g^2 sin(2 a x) and
-        (u . grad u)_y = (pi a^2 / 2) g^2 sin(2 pi y); the scalar one is
+        With lam = a^2 + pi^2 the eigenvalue of both fields, it is the time
+        derivative plus nu lam u and kappa lam theta, the buoyancy -theta e2
+        and the source -u2, and the advection terms, which collapse by the
+        Pythagorean identity: (u . grad u)_x = (pi^2 a / 2) g^2 sin(2 a x)
+        and (u . grad u)_y = (pi a^2 / 2) g^2 sin(2 pi y); the scalar one is
         (u . grad theta) = -(pi a / 2) g b sin(2 pi y).
         """
         g = self.grid
         a = 2.0 * math.pi / g.L
         x, y = self._mesh()
         gt, bt = self._g(t), self._b(t)
-        gd, bd = self._gdot(t), self._bdot(t)
-        diff = a * a + math.pi * math.pi
-        sx, cx = np.sin(a * x), np.cos(a * x)
-        sy, cy = np.sin(math.pi * y), np.cos(math.pi * y)
-        f1 = (
-            math.pi * gd * sx * cy
-            + 0.5 * math.pi**2 * a * gt**2 * np.sin(2.0 * a * x)
-            + self.nu * diff * math.pi * gt * sx * cy
-        )
-        f2 = (
-            -a * gd * cx * sy
-            + 0.5 * math.pi * a * a * gt**2 * np.sin(2.0 * math.pi * y)
-            - self.nu * diff * a * gt * cx * sy
-            - bt * cx * sy
-        )
-        fth = (
-            bd * cx * sy
-            - 0.5 * math.pi * a * gt * bt * np.sin(2.0 * math.pi * y)
-            + self.kappa * diff * bt * cx * sy
-            + a * gt * cx * sy
-        )
-        c2, cth = analyze(g, np.stack([f2, fth]), SIN)
-        return VectorField(analyze(g, f1, COS), c2), cth
+        lam = a * a + math.pi * math.pi
+        u, th = self._fields(gt, bt)
+        du, dth = self.time_derivative(t)
+        adv1 = 0.5 * math.pi**2 * a * gt**2 * np.sin(2.0 * a * x)
+        adv2 = 0.5 * math.pi * a * a * gt**2 * np.sin(2.0 * math.pi * y)
+        adv_th = -0.5 * math.pi * a * gt * bt * np.sin(2.0 * math.pi * y)
+        c2, cth = analyze(g, np.stack([adv2, adv_th]), SIN)
+        # c2 - th: the second advection component and the buoyancy -theta e2
+        fu = du + u * (self.nu * lam) + VectorField(analyze(g, adv1, COS), c2 - th)
+        return fu, dth + th * (self.kappa * lam) + cth - u.u2
 
     def errors(self, s: State) -> Tuple[float, float]:
         """H-norm distances of a computed state from the exact one."""

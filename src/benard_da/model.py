@@ -125,18 +125,16 @@ def _divergence_factors(g: Grid) -> Tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def _fluxes(
-    carrier: VectorField, fields: Sequence[SpectralField], pairs: Sequence[tuple]
-) -> np.ndarray:
-    """Pointwise products v[i] v[j] of the values v of [c1, c2, *fields],
-    one per pair, from one synthesis.  They fill this thread's flux buffer
-    (see spectral._buffer), live until analyzed; the synthesized values are
-    released on return, before the analyses allocate."""
-    g = carrier.grid
-    v = synthesize([carrier.u1, carrier.u2, *fields])
-    flux = _buffer((len(pairs),) + g.shape, float, "flux")
+def _fluxes(v: np.ndarray, pairs: Sequence[tuple]) -> np.ndarray:
+    """Pointwise products v[i] v[j] of synthesized values, one per pair:
+    v is an (F, nx, ny + 1) batch, or a (K, F, nx, ny + 1) stack whose
+    copies each give one row of the pair's (K, nx, ny + 1) product.  They
+    fill this thread's flux buffer (see spectral._buffer) and live until
+    analyzed; values passed as a temporary are released on return, before
+    the analyses allocate."""
+    flux = _buffer((len(pairs),) + v.shape[:-3] + v.shape[-2:], float, "flux")
     for out, (i, j) in zip(flux, pairs):
-        np.multiply(v[i], v[j], out=out)
+        np.multiply(v[..., i, :, :], v[..., j, :, :], out=out)
     return flux
 
 
@@ -167,14 +165,13 @@ def advection_velocity(carrier: VectorField, advected: VectorField) -> VectorFie
     _require_same_grid(carrier.grid, advected.grid)
     g = carrier.grid
     if advected is carrier:
-        flux = _fluxes(carrier, [], [(0, 0), (1, 1), (1, 0)])
+        flux = _fluxes(synthesize([carrier.u1, carrier.u2]), [(0, 0), (1, 1), (1, 0)])
         f11, f22 = analyze(g, flux[:2], COS)
         (f21,) = analyze(g, flux[2:], SIN)
         f12 = f21
     else:
-        flux = _fluxes(
-            carrier, [advected.u1, advected.u2], [(0, 2), (1, 3), (1, 2), (0, 3)]
-        )
+        fields = [carrier.u1, carrier.u2, advected.u1, advected.u2]
+        flux = _fluxes(synthesize(fields), [(0, 2), (1, 3), (1, 2), (0, 3)])
         f11, f22 = analyze(g, flux[:2], COS)
         f21, f12 = analyze(g, flux[2:], SIN)
     return VectorField(_divergence(f11, f21), _divergence(f12, f22))
@@ -198,7 +195,7 @@ def advection_scalar(
             raise ValueError("advected scalars must carry sine parity")
     g, k = carrier.grid, len(group)
     pairs = [(0, 2 + i) for i in range(k)] + [(1, 2 + i) for i in range(k)]
-    flux = _fluxes(carrier, group, pairs)
+    flux = _fluxes(synthesize([carrier.u1, carrier.u2, *group]), pairs)
     adv = list(map(_divergence, analyze(g, flux[:k], SIN), analyze(g, flux[k:], COS)))
     return adv[0] if single else adv
 
@@ -233,11 +230,8 @@ def _stack_tendencies(states: Sequence[State]) -> np.ndarray:
     projection on the stack.  A clean that a later one overrides is skipped."""
     g, k, shape = states[0].grid, len(states), (-1,) + states[0].grid.shape
     rows = [f for s in states for f in (s.velocity.u1, s.velocity.u2, s.temperature)]
-    v = synthesize(rows).reshape((k, 3) + g.shape)
-    flux = _buffer((5, k) + g.shape, float, "flux")
-    for out, (i, j) in zip(flux, ((0, 0), (1, 1), (1, 2), (1, 0), (0, 2))):
-        np.multiply(v[:, i], v[:, j], out=out)
-    del v  # released before the analyses allocate
+    pairs = ((0, 0), (1, 1), (1, 2), (1, 0), (0, 2))
+    flux = _fluxes(synthesize(rows).reshape((k, 3) + g.shape), pairs)
     cos = _clean(_analyze(g, flux[:3].reshape(shape), COS), COS)
     sin = _clean(_analyze(g, flux[3:].reshape(shape), SIN), SIN)
     cos, sin = cos.reshape((3, k) + g.coeff_shape), sin.reshape((2, k) + g.coeff_shape)

@@ -487,39 +487,33 @@ def _parseval_weights(g: Grid, power: int) -> np.ndarray:
     return w
 
 
-def _inner_scalar(f: SpectralField, q: SpectralField, power: int) -> float:
+def _inner(f: Field, q: Field, power: int) -> float:
+    """Parseval sum of f against q with weights lam^power; a vector field
+    sums its two components."""
+    if isinstance(f, VectorField):
+        return _inner(f.u1, q.u1, power) + _inner(f.u2, q.u2, power)
     w = _parseval_weights(f.grid, power)
     return float(np.sum((f.coeffs * np.conj(q.coeffs)).real * w))
 
 
 def inner_h(f: Field, q: Field) -> float:
     """L2 inner product over the domain."""
-    if isinstance(f, VectorField):
-        return _inner_scalar(f.u1, q.u1, 0) + _inner_scalar(f.u2, q.u2, 0)
-    return _inner_scalar(f, q, 0)
+    return _inner(f, q, 0)
 
 
 def norm_h(f: Field) -> float:
     """L2 norm."""
-    return float(np.sqrt(max(inner_h(f, f), 0.0)))
+    return float(np.sqrt(max(_inner(f, f, 0), 0.0)))
 
 
 def norm_v(f: Field) -> float:
     """H1 seminorm, sqrt(sum lam |c|^2 weight); the natural V-norm."""
-    if isinstance(f, VectorField):
-        s = _inner_scalar(f.u1, f.u1, 1) + _inner_scalar(f.u2, f.u2, 1)
-    else:
-        s = _inner_scalar(f, f, 1)
-    return float(np.sqrt(max(s, 0.0)))
+    return float(np.sqrt(max(_inner(f, f, 1), 0.0)))
 
 
 def norm_laplacian(f: Field) -> float:
     """L2 norm of the (negative) Laplacian image, sqrt(sum lam^2 |c|^2 weight)."""
-    if isinstance(f, VectorField):
-        s = _inner_scalar(f.u1, f.u1, 2) + _inner_scalar(f.u2, f.u2, 2)
-    else:
-        s = _inner_scalar(f, f, 2)
-    return float(np.sqrt(max(s, 0.0)))
+    return float(np.sqrt(max(_inner(f, f, 2), 0.0)))
 
 
 def quadrature(grid: Grid, values: np.ndarray) -> float:
