@@ -313,25 +313,26 @@ class ObservationRecord:
 
     def save(self, path) -> None:
         g = self.spec.grid
-        np.savez_compressed(
-            path,
-            kind=self.spec.kind,
-            h=self.spec.h,
-            L=g.L,
-            nx=g.nx,
-            ny=g.ny,
-            dt=self.dt,
-            times=self.times,
-            payload1=self.payload1,
-            payload2=self.payload2,
-        )
+        # to an open file, so that numpy appends no ".npz" to path
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                kind=self.spec.kind,
+                h=self.spec.h,
+                L=g.L,
+                nx=g.nx,
+                ny=g.ny,
+                dt=self.dt,
+                times=self.times,
+                payload1=self.payload1,
+                payload2=self.payload2,
+            )
 
     @staticmethod
     def load(path) -> "ObservationRecord":
         """The record at path; any refusal is a ValueError naming the file.
-
-        A file that cannot be opened raises the OSError of np.load.
-        """
+        Non-finite numbers and a dt that is not positive are refused; a
+        file that cannot be opened raises the OSError of np.load."""
         try:
             z = np.load(path)
             if not isinstance(z, np.lib.npyio.NpzFile):
@@ -344,13 +345,15 @@ class ObservationRecord:
                 if unknown:
                     raise ValueError(f"unknown key {', '.join(unknown)}")
                 grid = Grid(float(z["L"]), int(z["nx"]), int(z["ny"]))
-                return ObservationRecord(
-                    spec=InterpolantSpec(str(z["kind"]), float(z["h"]), grid),
-                    dt=float(z["dt"]),
-                    times=z["times"].copy(),
-                    payload1=z["payload1"].copy(),
-                    payload2=z["payload2"].copy(),
-                )
+                dt = float(z["dt"])
+                if not 0 < dt < math.inf:
+                    raise ValueError(f"dt {dt} is not positive and finite")
+                stream = {k: z[k].copy() for k in ("times", "payload1", "payload2")}
+                bad = [k for k, a in stream.items() if not np.isfinite(a).all()]
+                if bad:
+                    raise ValueError(f"non-finite {', '.join(bad)}")
+                spec = InterpolantSpec(str(z["kind"]), float(z["h"]), grid)
+                return ObservationRecord(spec=spec, dt=dt, **stream)
         except (ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as e:
             raise ValueError(f"record {path}: {e}") from e
 

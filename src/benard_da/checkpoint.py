@@ -16,6 +16,7 @@ dealias fraction; all are refused.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +83,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at path; any refusal is a ValueError naming the file."""
+    """The checkpoint at path; any refusal is a ValueError naming the file.
+    Non-finite numbers and a history dt that is not positive are refused."""
     try:
         return _decode(Path(path).read_bytes())
     except ValueError as e:
@@ -111,6 +113,8 @@ def _decode(blob: bytes) -> Checkpoint:
         raise ValueError(f"format version {version}, expected {VERSION}")
     if flag not in (0, 1):
         raise ValueError(f"history flag {flag}")
+    if not math.isfinite(time):
+        raise ValueError(f"time {time} is not finite")
     grid = Grid(L, nx, ny)
     shape = grid.coeff_shape
     count = shape[0] * shape[1]
@@ -123,6 +127,8 @@ def _decode(blob: bytes) -> Checkpoint:
         """Arrays i, i + 1 and i + 2 as one (3, nx/2 + 1, ny + 1) stack."""
         start = _HEADER.size + i * nbytes
         flat = np.frombuffer(blob, dtype="<c16", count=3 * count, offset=start)
+        if not np.isfinite(flat).all():
+            raise ValueError("holds non-finite coefficients")
         return flat.reshape((3,) + shape).copy()
 
     u1, u2, theta = stack(0)
@@ -134,6 +140,8 @@ def _decode(blob: bytes) -> Checkpoint:
     history = None
     if flag:
         (hdt,) = struct.unpack_from("<d", blob, _HEADER.size + 6 * nbytes)
+        if not 0 < hdt < math.inf:
+            raise ValueError(f"history dt {hdt} is not positive and finite")
         tendencies = stack(3)
         tendencies.flags.writeable = False
         history = History(tendencies, hdt)

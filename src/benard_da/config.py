@@ -122,10 +122,15 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def _body(line: str) -> str:
+    """What parse() reads of a line: its text before any "#", stripped."""
+    return line.split("#", 1)[0].strip()
+
+
 def parse(text: str) -> RunConfig:
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _body(line)
         if not body:
             continue
         if "=" not in body:
@@ -149,6 +154,9 @@ def parse(text: str) -> RunConfig:
 
 
 def dumps(cfg: RunConfig) -> str:
+    """The config as text that parse() reads back unchanged; a value that
+    it would read differently (a "#", surrounding whitespace or a line
+    break) raises ConfigError naming the key."""
     lines = ["# twin-experiment run configuration", ""]
     for name in _FIELDS:
         v = getattr(cfg, name)
@@ -158,7 +166,12 @@ def dumps(cfg: RunConfig) -> str:
             text = repr(v)
         else:
             text = str(v)
-        lines.append(f"{name} = {text}")
+        line = f"{name} = {text}"
+        # parse() splits the text into lines, cuts each at "#" and strips values
+        read = _body(line).split("=", 1)[1].strip()
+        if line.splitlines() != [line] or read != text:
+            raise ConfigError(f"{name} = {text!r} would not parse back unchanged")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

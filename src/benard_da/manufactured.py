@@ -11,9 +11,11 @@ The fields satisfy the boundary conditions, are divergence-free, and span
 a handful of low modes, so on any grid that retains wavenumbers 2a and
 2 pi the Galerkin operators act on them without truncation and the
 semi-discrete tendency matches the analytic time derivative to round-off.
-The forcing below is the residual of the unforced equations; its gradient
-part is harmless because the solver projects forcing together with the
-other explicit terms.
+The forcing below is the residual of the unforced equations, built from
+the case's own fields (the time derivative is them at the amplitudes'
+rates; diffusion, buoyancy and source are them scaled); only the three
+advection terms are written out.  Its gradient part is harmless because
+the solver projects forcing together with the other explicit terms.
 """
 
 from __future__ import annotations

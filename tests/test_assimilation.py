@@ -509,6 +509,19 @@ def _stored(key, value):
     return rewrite
 
 
+def _first_entry(key, value):
+    """A spoiler that rewrites the record with the first entry of key's
+    array set to value."""
+
+    def rewrite(path):
+        with np.load(path) as z:
+            kept = {k: z[k] for k in z.files}
+        kept[key].flat[0] = value
+        np.savez_compressed(path, **kept)
+
+    return rewrite
+
+
 class TestObservationReplay:
     @pytest.mark.parametrize("kind,mu", [(MODAL, 40.0), (VOLUME, 20.0), (NODAL, 20.0)])
     def test_replay_reproduces_live_run_exactly(self, tmp_path, kind, mu):
@@ -552,10 +565,18 @@ class TestObservationReplay:
             (_stored("h", -1.0), "h must be positive"),
             (_stored("nx", np.array([32, 16])), "arrays can be converted"),
             (_stored("dealias_fraction", 0.5), "unknown key dealias_fraction"),
+            (_stored("dt", 0.0), "dt 0.0 is not positive"),
+            (_stored("dt", -2e-3), "dt -0.002 is not positive"),
+            (_stored("dt", np.nan), "dt nan is not positive"),
+            (_first_entry("times", np.nan), "non-finite times"),
+            (_first_entry("payload1", np.inf), "non-finite payload1"),
+            (_first_entry("payload2", np.nan), "non-finite payload2"),
         ],
         ids=[
             "garbage", "first-half", "undecodable-member", "plain-array",
             "bogus-kind", "negative-h", "array-nx", "unknown-key",
+            "zero-dt", "negative-dt", "nan-dt", "nan-time", "inf-payload1",
+            "nan-payload2",
         ],
     )
     def test_malformed_record_file_refused_naming_it(self, tmp_path, spoil, match):
@@ -566,6 +587,19 @@ class TestObservationReplay:
             ObservationRecord.load(path)
         assert str(err.value).startswith(f"record {path}: ")
         assert match in str(err.value)
+
+    def test_record_written_to_the_path_given(self, tmp_path):
+        # without the ".npz" suffix, numpy would append one to a path
+        params = PhysicalParams(nu=0.03, kappa=0.03, mu=20.0)
+        spec = InterpolantSpec(VOLUME, 0.25, Grid(2.0, 16, 8))
+        cfg = twin_config(params=params, spec=spec, run_time=0.02, spinup_time=0.1)
+        path = tmp_path / "rec.bin"
+        live = run_twin(cfg, record_to=path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.bin"]
+        final, _, _ = run_from_record(ObservationRecord.load(path), params, spec, STEP)
+        want = live.assimilated_final
+        assert np.array_equal(final.velocity.u1.coeffs, want.velocity.u1.coeffs)
+        assert np.array_equal(final.temperature.coeffs, want.temperature.coeffs)
 
     def test_missing_record_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

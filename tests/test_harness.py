@@ -70,7 +70,7 @@ def config_text(cfg: RunConfig, **values) -> str:
 
 class TestConfig:
     def test_round_trip_unchanged(self):
-        cfg = small_config(sweep_mu=(10.0, 20.0), epsilon=0.4)
+        cfg = small_config(sweep_mu=(10.0, 20.0), epsilon=0.4, output_dir="my runs/a=b")
         assert parse(dumps(cfg)) == cfg
 
     def test_defaults_applied_for_missing_keys(self):
@@ -128,6 +128,17 @@ class TestConfig:
         assert main(["spinup", "--config", str(path)]) == EXIT_OK
         assert load_checkpoint(tmp_path / "truth.ckpt").seed == seed
 
+    @pytest.mark.parametrize(
+        "value",
+        ["runs#1", " runs", "runs ", "runs\nnu = 5", "runs\rnu = 5"],
+        ids=["hash", "leading-space", "trailing-space", "newline", "carriage-return"],
+    )
+    def test_value_that_would_parse_back_differently_refused(self, value):
+        # "#" starts a comment, values are stripped and a line break injects
+        # another line, so each would read back as another config
+        with pytest.raises(ConfigError, match="output_dir"):
+            dumps(small_config(output_dir=value))
+
     @pytest.mark.parametrize("key", ["sweep_mu", "sweep_h"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sweep_entry_rejected(self, key, bad):
@@ -168,14 +179,18 @@ class TestConfig:
 
 def damaged(blob: bytes, how: str) -> bytes:
     """A checkpoint's bytes with one defect: a foreign magic, a cut inside
-    the header, another format version, an nx that is no power of two, or
-    a cut inside the coefficients."""
+    the header, another format version, an nx that is no power of two, a
+    cut inside the coefficients, or a nan time (header bytes 52-60) or
+    coefficient (the real part of u1's 41st)."""
+    nan = struct.pack("<d", math.nan)
     return {
         "magic": b"garbage-" + blob[8:],
         "header": blob[:40],
         "version": blob[:8] + struct.pack("<I", VERSION + 1) + blob[12:],
         "grid": blob[:12] + struct.pack("<I", 24) + blob[16:],
         "length": blob[: len(blob) // 2],
+        "nan-time": blob[:52] + nan + blob[60:],
+        "nan-coefficient": blob[: 69 + 640] + nan + blob[69 + 648 :],
     }[how]
 
 
@@ -280,6 +295,46 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(
             ValueError, match=f"checkpoint {re.escape(str(path))}: history flag {flag}$"
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, tmp_path, time):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, self.make_state(time), PhysicalParams(nu=0.04, kappa=0.02), 0)
+        with pytest.raises(
+            ValueError, match=f"checkpoint {re.escape(str(path))}: time {time} is not finite"
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("array", [0, 2, 3], ids=["u1", "theta", "history"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficient_refused(self, tmp_path, array, value):
+        # the real part of one coefficient in the middle of the array
+        path = tmp_path / "s.ckpt"
+        state, p = self.make_state(), PhysicalParams(nu=0.04, kappa=0.02)
+        _, hist = step(state, p, StepperConfig(dt=0.01))
+        save_checkpoint(path, state, p, seed=0, history=hist)
+        blob = bytearray(path.read_bytes())
+        nbytes = 16 * np.prod(state.grid.coeff_shape)
+        struct.pack_into("<d", blob, 69 + array * nbytes + 16 * 40, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            ValueError, match=f"checkpoint {re.escape(str(path))}: holds non-finite"
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hdt", [0.0, -0.01, math.nan, math.inf])
+    def test_history_dt_not_positive_and_finite_refused(self, tmp_path, hdt):
+        # the history's dt is the file's last 8 bytes
+        path = tmp_path / "s.ckpt"
+        state, p = self.make_state(), PhysicalParams(nu=0.04, kappa=0.02)
+        _, hist = step(state, p, StepperConfig(dt=0.01))
+        save_checkpoint(path, state, p, seed=0, history=hist)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", hdt))
+        with pytest.raises(
+            ValueError,
+            match=f"checkpoint {re.escape(str(path))}: history dt {hdt} is not positive",
         ):
             load_checkpoint(path)
 
@@ -472,7 +527,9 @@ class TestTwinCommand:
         assert main(["twin", "--config", str(p), missing]) == EXIT_IO
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["magic", "header", "version", "length"])
+    @pytest.mark.parametrize(
+        "damage", ["magic", "header", "version", "length", "nan-time", "nan-coefficient"]
+    )
     def test_malformed_checkpoint_is_io_error(self, twin_workspace, tmp_path, capsys, damage):
         # a file that is not a whole checkpoint is unreadable, like a missing
         # one: exit 4, the message names it, and no output directory is made
